@@ -303,7 +303,6 @@ TransientResult transient_distribution(const Ctmc& chain, double t,
   double residual = 2.0 * options.epsilon;
 
   std::uint64_t executed = 0;
-  std::uint64_t early_step = 0;
   for (std::uint64_t i = 0;; ++i) {
     if (guard != nullptr && guard->poll() != RunStatus::Converged) {
       // Mass of steps [i, right] has not been accumulated yet.
@@ -328,17 +327,6 @@ TransientResult transient_distribution(const Ctmc& chain, double t,
                         psi.tail_mass(i + 1) + 2.0 * options.epsilon,
                         std::span<double>(next.data(), next.size()));
     }
-    if (options.early_termination &&
-        max_abs_diff(cur, next) <= options.early_termination_delta) {
-      // The distribution has converged; the remaining window mass sits on
-      // the fixed point.
-      const double tail = psi.tail_mass(i + 1);
-      for (std::size_t s = 0; s < n; ++s) acc[s] += tail * next[s];
-      cur.swap(next);
-      residual += options.early_termination_delta;
-      early_step = executed;
-      break;
-    }
     cur.swap(next);
   }
 
@@ -361,209 +349,27 @@ TransientResult transient_distribution(const Ctmc& chain, double t,
     span->metric("poisson_width", psi.right() - psi.left() + 1);
     span->metric("iterations_planned", psi.right());
     span->metric("iterations_executed", executed);
-    span->metric("early_termination_step", early_step);
     span->metric("threads", pool.size());
     span->metric("residual_bound", residual);
   }
   return result;
 }
 
-TransientResult timed_reachability(const Ctmc& chain, const BitVector& goal,
-                                   double t, const TransientOptions& options) {
-  if (t < 0.0) throw ModelError("timed_reachability: negative time bound");
-  if (goal.size() != chain.num_states()) {
-    throw ModelError("timed_reachability: goal vector size mismatch");
-  }
-  std::optional<Telemetry::Span> span;
-  if (options.telemetry != nullptr) span.emplace(options.telemetry->span("ctmc_reachability"));
-  const Ctmc absorbing = chain.make_absorbing(goal);
-  const std::size_t n = absorbing.num_states();
-  const double e = pick_rate(absorbing, options);
-  // Truncation policy (DESIGN.md Sec. 14): an engaged plan computes the
-  // window at epsilon/2 and may stop the iteration early once the folded
-  // tail error provably fits under the other epsilon/2.
-  const TruncationPlan plan = plan_truncation(options.truncation, e * t, options.epsilon);
-  const PoissonWindow& psi = plan.window;
-  const JumpKernel p(absorbing, e);
-  const KernelOps* const ops = JumpKernel::ops_for(resolve_backend(options.backend));
-  WorkerPool pool = make_worker_pool(options.threads, n);
-  const std::vector<Counter*> row_counters = worker_row_counters(options.telemetry, pool.size());
-  Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
+namespace {
 
-  // v_i(s) = probability to sit in B after i jumps of the absorbing chain.
-  std::vector<double> cur(n, 0.0);
-  std::vector<double> next(n, 0.0);
-  std::vector<double> acc(n, 0.0);
-  for (std::size_t s = 0; s < n; ++s) cur[s] = goal[s] ? 1.0 : 0.0;
-
-  // Convergence locking: the backward operator is time-invariant (the
-  // Poisson weight only scales the accumulation, never the sweep), so a
-  // row that reproduced its bits with every successor frozen is an exact
-  // fixpoint of its own relaxation from the very first step.  Values are
-  // bit-identical with locking on or off; only the work per sweep changes.
-  const bool locking = options.locking;
-  BitVector locked;
-  std::size_t locked_count = 0;
-  std::vector<std::vector<StateId>> cand;
-  if (locking) {
-    locked.assign(n, false);
-    cand.resize(pool.size());
-  }
-  std::vector<std::uint64_t> upd(pool.size() * std::size_t{8}, 0);
-
-  // Lyapunov certificate: u_i(s) = Pr_s(X_i not in B) bounds the remaining
-  // per-state distance v_inf - v_i, so once tail_mass(i+1) * sup u_{i+1}
-  // drops under stop_epsilon the whole unaccumulated window can be folded
-  // onto v_{i+1} at a provably bounded cost.
-  LyapunovSeries series(plan.stop_epsilon);
-  bool cert_active = plan.engaged();
-  std::uint64_t k_lyapunov = 0;
-  std::vector<double> u;
-  std::vector<double> u_next;
-  if (cert_active) {
-    u.assign(n, 0.0);
-    for (std::size_t s = 0; s < n; ++s) u[s] = goal[s] ? 0.0 : 1.0;
-    u_next.assign(n, 0.0);
-  }
-
-  RunGuard* const guard = options.guard;
-  std::atomic<bool> sweep_aborted{false};
-  RunStatus status = RunStatus::Converged;
-  double residual = plan.window_epsilon;
-
-  std::uint64_t executed = 0;
-  std::uint64_t early_step = 0;
-  for (std::uint64_t i = 0;; ++i) {
-    if (guard != nullptr && guard->poll() != RunStatus::Converged) {
-      status = guard->status();
-      residual = psi.tail_mass(i) + plan.window_epsilon;
-      break;
-    }
-    const double w = psi.psi(i);
-    if (w > 0.0) {
-      for (std::size_t s = 0; s < n; ++s) acc[s] += w * cur[s];
-    }
-    if (i >= psi.right()) break;
-    if (locking && locked_count == n && guard == nullptr && !options.early_termination &&
-        !cert_active) {
-      // Every row is frozen: P cur == cur bitwise, so the sweep and swap
-      // are provable no-ops.  Only the Poisson accumulation above still
-      // runs.  Gated off under a guard (the checkpoint span must see a
-      // fresh buffer) and under early termination (its delta probe reads
-      // both buffers) to keep those paths exactly on the historical code.
-      ++executed;
-      continue;
-    }
-    p.step_backward(cur, next, pool, guard, sweep_aborted, rows_out, ops,
-                    locking ? &locked : nullptr, locking ? &cand : nullptr, upd.data());
-    if (guard != nullptr && sweep_aborted.load(std::memory_order_relaxed)) {
-      status = guard->status();
-      residual = psi.tail_mass(i + 1) + plan.window_epsilon;
-      break;
-    }
-    ++executed;
-    if (locking) {
-      // Candidates were judged against the pre-sweep locked set on every
-      // worker; applying after the barrier keeps the set deterministic for
-      // every thread count.
-      for (std::vector<StateId>& c : cand) {
-        for (const StateId s : c) locked.set(s);
-        locked_count += c.size();
-        c.clear();
-      }
-    }
-    if (guard != nullptr) {
-      guard->checkpoint("ctmc_timed_reachability", executed, psi.right(),
-                        psi.tail_mass(i + 1) + plan.window_epsilon,
-                        std::span<double>(next.data(), next.size()));
-      if (locked_count != 0 && guard->wants_checkpoint(executed)) {
-        // The checkpoint span is externally writable, so the twin-buffer
-        // invariant of every locked row is void — drop all locks.
-        locked.assign(n, false);
-        locked_count = 0;
-      }
-    }
-    if (options.early_termination &&
-        max_abs_diff(cur, next) <= options.early_termination_delta) {
-      const double tail = psi.tail_mass(i + 1);
-      for (std::size_t s = 0; s < n; ++s) acc[s] += tail * next[s];
-      cur.swap(next);
-      residual += options.early_termination_delta;
-      early_step = executed;
-      break;
-    }
-    if (cert_active) {
-      // Advance the survival iterate u_{i+1} = P u_i; its sup bounds the
-      // per-state distance v_inf - v_{i+1} (absorption is monotone).
-      p.step_backward(u, u_next, pool, nullptr, sweep_aborted);
-      u.swap(u_next);
-      double ub = 0.0;
-      for (std::size_t s = 0; s < n; ++s) {
-        if (!(u[s] <= ub)) ub = u[s];  // NaN-latching sup
-      }
-      series.record(ub);
-      if (series.should_disengage(series.size())) {
-        // Not contracting within the probe budget — stop paying for the
-        // second sweep; the run continues on the pure window schedule.
-        cert_active = false;
-        u = std::vector<double>();
-        u_next = std::vector<double>();
-      } else {
-        const double tail = psi.tail_mass(i + 1);
-        if (tail * ub <= plan.stop_epsilon) {
-          // sum_{j>i} psi(j) (v_j - v_{i+1}) <= tail * sup u_{i+1}: fold
-          // the whole remaining window onto v_{i+1} and stop.
-          for (std::size_t s = 0; s < n; ++s) acc[s] += tail * next[s];
-          cur.swap(next);
-          residual += tail * ub;
-          k_lyapunov = executed;
-          break;
-        }
-      }
-    }
-    cur.swap(next);
-  }
-
-  require_finite(acc, "timed_reachability");
-  for (std::size_t s = 0; s < n; ++s) acc[s] = goal[s] ? 1.0 : clamp01(acc[s]);
-  TransientResult result{std::move(acc), psi.right(), executed, e};
-  result.status = status;
-  result.residual_bound = residual;
-  result.truncation = plan.resolved;
-  result.k_lyapunov = k_lyapunov;
-  result.locked_final = locked_count;
-  for (std::size_t wkr = 0; wkr < pool.size(); ++wkr) {
-    result.state_updates += upd[wkr * std::size_t{8}];
-  }
-  if (span) {
-    span->metric("states", n);
-    span->metric("uniform_rate", e);
-    span->metric("lambda", e * t);
-    span->metric("poisson_left", psi.left());
-    span->metric("poisson_right", psi.right());
-    span->metric("poisson_width", psi.right() - psi.left() + 1);
-    span->metric("iterations_planned", psi.right());
-    span->metric("iterations_executed", executed);
-    span->metric("early_termination_step", early_step);
-    span->metric("threads", pool.size());
-    span->metric("residual_bound", residual);
-    span->metric("truncation.k_fox_glynn", plan.fox_glynn_right);
-    span->metric("truncation.k_effective", executed);
-    span->metric("truncation.k_lyapunov", k_lyapunov);
-    span->metric("truncation.locked_final", result.locked_final);
-    span->metric("truncation.state_updates", result.state_updates);
-  }
-  return result;
-}
-
-std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const BitVector& goal,
-                                                      const std::vector<double>& times,
-                                                      const TransientOptions& options) {
+/// The one backward-reachability engine behind timed_reachability and
+/// timed_reachability_batch.  @p single selects the single-horizon call's
+/// error prefix and its flat "ctmc_reachability" span; the arithmetic is
+/// the same either way, so a single-t solve is literally a batch of one.
+std::vector<TransientResult> solve_horizons(const Ctmc& chain, const BitVector& goal,
+                                            const std::vector<double>& times,
+                                            const TransientOptions& options, bool single) {
+  const std::string fn = single ? "timed_reachability" : "timed_reachability_batch";
   for (const double t : times) {
-    if (!(t >= 0.0)) throw ModelError("timed_reachability_batch: negative time bound");
+    if (!(t >= 0.0)) throw ModelError(fn + ": negative time bound");
   }
   if (goal.size() != chain.num_states()) {
-    throw ModelError("timed_reachability_batch: goal vector size mismatch");
+    throw ModelError(fn + ": goal vector size mismatch");
   }
   const std::size_t num_horizons = times.size();
   std::vector<TransientResult> results(num_horizons);
@@ -571,7 +377,8 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
 
   std::optional<Telemetry::Span> span;
   if (options.telemetry != nullptr) {
-    span.emplace(options.telemetry->span("ctmc_reachability_batch"));
+    span.emplace(
+        options.telemetry->span(single ? "ctmc_reachability" : "ctmc_reachability_batch"));
   }
   const Ctmc absorbing = chain.make_absorbing(goal);
   const std::size_t n = absorbing.num_states();
@@ -582,22 +389,24 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
   const std::vector<Counter*> row_counters = worker_row_counters(options.telemetry, pool.size());
   Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
 
-  // The step vectors v_i (probability to sit in B after i jumps of the
-  // absorbing uniformized chain) do not depend on the time bound — only
-  // the Poisson weights do.  One shared sweep sequence therefore serves
-  // every horizon exactly: per horizon and step these are the very
-  // multiply-adds of its single-t run, so batch answers are bit-identical
-  // to single runs while the matrix work is paid once (DESIGN.md Sec. 11).
+  // v_i(s) = probability to sit in B after i jumps of the absorbing chain.
+  // The step vectors do not depend on the time bound — only the Poisson
+  // weights do.  One shared sweep sequence therefore serves every horizon
+  // exactly: per horizon and step these are the very multiply-adds of its
+  // single-t run, so batch answers are bit-identical to single runs while
+  // the matrix work is paid once (DESIGN.md Sec. 11).
   struct Horizon {
     PoissonWindow psi;
     bool done = false;
     std::uint64_t executed = 0;
-    std::uint64_t early_step = 0;
     double residual = 0.0;
     RunStatus status = RunStatus::Converged;
     std::vector<double> acc;
-    // Per-horizon truncation plan (the shared iterate serves every window).
+    // Per-horizon truncation plan (the shared iterate serves every window;
+    // DESIGN.md Sec. 14).  An engaged plan runs its window at epsilon/2
+    // and may fold the remaining mass once it fits under stop_epsilon.
     double window_epsilon = 0.0;
+    double stop_epsilon = 0.0;
     std::uint64_t fox_glynn_right = 0;
     bool engaged = false;
     Truncation resolved = Truncation::FoxGlynn;
@@ -608,28 +417,35 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
   std::vector<Horizon> horizons(num_horizons);
   std::uint64_t right_max = 0;
   bool any_engaged = false;
+  double stop_epsilon = 0.0;  // shared by every engaged plan (same epsilon split)
   for (std::size_t j = 0; j < num_horizons; ++j) {
     Horizon& h = horizons[j];
     const TruncationPlan hplan = plan_truncation(options.truncation, e * times[j], options.epsilon);
     h.psi = hplan.window;
     h.window_epsilon = hplan.window_epsilon;
+    h.stop_epsilon = hplan.stop_epsilon;
     h.fox_glynn_right = hplan.fox_glynn_right;
     h.engaged = hplan.engaged();
     h.resolved = hplan.resolved;
     h.residual = hplan.window_epsilon;
     h.acc.assign(n, 0.0);
     right_max = std::max(right_max, h.psi.right());
-    any_engaged = any_engaged || h.engaged;
+    if (h.engaged) {
+      stop_epsilon = hplan.stop_epsilon;
+      any_engaged = true;
+    }
   }
 
   std::vector<double> cur(n, 0.0);
   std::vector<double> next(n, 0.0);
   for (std::size_t s = 0; s < n; ++s) cur[s] = goal[s] ? 1.0 : 0.0;
 
-  // Shared locking state (the batch shares one iterate, hence one frozen
-  // set) and the shared survival record: u_i is a pure function of the
-  // kernel, so one iterate serves every engaged horizon and each horizon's
-  // fold decision is bit-identical to its single-t run's.
+  // Convergence locking: the backward operator is time-invariant (the
+  // Poisson weight only scales the accumulation, never the sweep), so a
+  // row that reproduced its bits with every successor frozen is an exact
+  // fixpoint of its own relaxation from the very first step.  Values are
+  // bit-identical with locking on or off; only the work per sweep changes.
+  // The batch shares one iterate, hence one frozen set.
   const bool locking = options.locking;
   BitVector locked;
   std::size_t locked_count = 0;
@@ -644,7 +460,13 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
     for (std::size_t wkr = 0; wkr < pool.size(); ++wkr) total += upd[wkr * std::size_t{8}];
     return total;
   };
-  LyapunovSeries series(options.epsilon / 2.0);
+  // Lyapunov certificate: u_i(s) = Pr_s(X_i not in B) bounds the remaining
+  // per-state distance v_inf - v_i, so once tail_mass(i+1) * sup u_{i+1}
+  // drops under a horizon's stop budget its whole unaccumulated window can
+  // be folded onto v_{i+1} at a provably bounded cost.  u_i is a pure
+  // function of the kernel, so one survival record serves every engaged
+  // horizon and each fold decision is bit-identical to its single-t run's.
+  LyapunovSeries series(stop_epsilon);
   bool cert_active = any_engaged;
   std::vector<double> u;
   std::vector<double> u_next;
@@ -655,19 +477,27 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
   }
 
   RunGuard* const guard = options.guard;
+  // Checkpoints publish the shared iterate only for a batch of one — the
+  // single-horizon solve.
+  RunGuard* const publisher = num_horizons == 1 ? guard : nullptr;
   std::atomic<bool> sweep_aborted{false};
   std::uint64_t executed = 0;
   std::size_t remaining = num_horizons;
+  // Finalizes a horizon at the current sweep count.
+  auto finish = [&](Horizon& h) {
+    h.executed = executed;
+    h.state_updates = upd_total();
+    h.locked_final = locked_count;
+    h.done = true;
+  };
   for (std::uint64_t i = 0; remaining > 0; ++i) {
     if (guard != nullptr && guard->poll() != RunStatus::Converged) {
+      // Mass of steps [i, right] has not been accumulated yet.
       for (Horizon& h : horizons) {
         if (h.done) continue;
         h.status = guard->status();
         h.residual = h.psi.tail_mass(i) + h.window_epsilon;
-        h.executed = executed;
-        h.state_updates = upd_total();
-        h.locked_final = locked_count;
-        h.done = true;
+        finish(h);
       }
       break;
     }
@@ -679,10 +509,7 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
         for (std::size_t s = 0; s < n; ++s) acc[s] += w * cur[s];
       }
       if (i >= h.psi.right()) {
-        h.executed = executed;
-        h.state_updates = upd_total();
-        h.locked_final = locked_count;
-        h.done = true;
+        finish(h);
         --remaining;
       }
     }
@@ -693,10 +520,11 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
       }
       return false;
     }();
-    if (locking && locked_count == n && guard == nullptr && !options.early_termination &&
-        !cert_open) {
-      // Every row frozen: the sweep and swap are provable no-ops (see the
-      // single-horizon engine); only the accumulations above still run.
+    if (locking && locked_count == n && guard == nullptr && !cert_open) {
+      // Every row is frozen: P cur == cur bitwise, so the sweep and swap
+      // are provable no-ops.  Only the Poisson accumulations above still
+      // run.  Gated off under a guard (the checkpoint span must see a
+      // fresh buffer).
       ++executed;
       continue;
     }
@@ -707,41 +535,36 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
         if (h.done) continue;
         h.status = guard->status();
         h.residual = h.psi.tail_mass(i + 1) + h.window_epsilon;
-        h.executed = executed;
-        h.state_updates = upd_total();
-        h.locked_final = locked_count;
-        h.done = true;
+        finish(h);
       }
       break;
     }
     ++executed;
     if (locking) {
+      // Candidates were judged against the pre-sweep locked set on every
+      // worker; applying after the barrier keeps the set deterministic for
+      // every thread count.
       for (std::vector<StateId>& c : cand) {
         for (const StateId s : c) locked.set(s);
         locked_count += c.size();
         c.clear();
       }
     }
-    if (options.early_termination &&
-        max_abs_diff(cur, next) <= options.early_termination_delta) {
-      // Every still-open horizon's single-t run would fire here too: the
-      // shared vector sequence makes the first qualifying step identical.
-      for (Horizon& h : horizons) {
-        if (h.done) continue;
-        const double tail = h.psi.tail_mass(i + 1);
-        double* acc = h.acc.data();
-        for (std::size_t s = 0; s < n; ++s) acc[s] += tail * next[s];
-        h.residual += options.early_termination_delta;
-        h.early_step = executed;
-        h.executed = executed;
-        h.state_updates = upd_total();
-        h.locked_final = locked_count;
-        h.done = true;
+    if (publisher != nullptr && publisher->wants_checkpoint(executed)) {
+      const Horizon& h = horizons.front();
+      publisher->checkpoint("ctmc_timed_reachability", executed, h.psi.right(),
+                            h.psi.tail_mass(i + 1) + h.window_epsilon,
+                            std::span<double>(next.data(), next.size()));
+      // The checkpoint span is externally writable, so the twin-buffer
+      // invariant of every locked row is void — drop all locks.
+      if (locked_count != 0) {
+        locked.assign(n, false);
+        locked_count = 0;
       }
-      cur.swap(next);
-      break;
     }
     if (cert_open) {
+      // Advance the survival iterate u_{i+1} = P u_i; its sup bounds the
+      // per-state distance v_inf - v_{i+1} (absorption is monotone).
       p.step_backward(u, u_next, pool, nullptr, sweep_aborted);
       u.swap(u_next);
       double ub = 0.0;
@@ -750,9 +573,9 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
       }
       series.record(ub);
       if (series.should_disengage(series.size())) {
-        // All horizons share the survival record, so the probe-cap
-        // disengage fires for every one of them at exactly the step its
-        // single-t run would disengage at.
+        // Not contracting within the probe budget — stop paying for the
+        // second sweep; every horizon continues on its pure window
+        // schedule, exactly where its single-t run would disengage.
         cert_active = false;
         u = std::vector<double>();
         u_next = std::vector<double>();
@@ -760,22 +583,18 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
         for (Horizon& h : horizons) {
           if (h.done || !h.engaged) continue;
           const double tail = h.psi.tail_mass(i + 1);
-          if (tail * ub <= options.epsilon / 2.0) {
+          if (tail * ub <= h.stop_epsilon) {
+            // sum_{j>i} psi(j) (v_j - v_{i+1}) <= tail * sup u_{i+1}: fold
+            // the whole remaining window onto v_{i+1} and stop.
             double* acc = h.acc.data();
             for (std::size_t s = 0; s < n; ++s) acc[s] += tail * next[s];
             h.residual += tail * ub;
             h.k_lyapunov = executed;
-            h.executed = executed;
-            h.state_updates = upd_total();
-            h.locked_final = locked_count;
-            h.done = true;
+            finish(h);
             --remaining;
           }
         }
-        if (remaining == 0) {
-          cur.swap(next);
-          break;
-        }
+        if (remaining == 0) break;
       }
     }
     cur.swap(next);
@@ -801,6 +620,24 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
   if (span) {
     span->metric("states", n);
     span->metric("uniform_rate", e);
+  }
+  if (span && single) {
+    const Horizon& h = horizons.front();
+    const TransientResult& r = results.front();
+    span->metric("lambda", e * times.front());
+    span->metric("poisson_left", h.psi.left());
+    span->metric("poisson_right", h.psi.right());
+    span->metric("poisson_width", h.psi.right() - h.psi.left() + 1);
+    span->metric("iterations_planned", h.psi.right());
+    span->metric("iterations_executed", h.executed);
+    span->metric("threads", pool.size());
+    span->metric("residual_bound", r.residual_bound);
+    span->metric("truncation.k_fox_glynn", h.fox_glynn_right);
+    span->metric("truncation.k_effective", h.executed);
+    span->metric("truncation.k_lyapunov", h.k_lyapunov);
+    span->metric("truncation.locked_final", r.locked_final);
+    span->metric("truncation.state_updates", r.state_updates);
+  } else if (span) {
     span->metric("horizons", num_horizons);
     span->metric("iterations_planned_max", right_max);
     span->metric("iterations_executed", executed);
@@ -813,7 +650,6 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
       hspan.metric("poisson_left", h.psi.left());
       hspan.metric("poisson_right", h.psi.right());
       hspan.metric("iterations_executed", h.executed);
-      hspan.metric("early_termination_step", h.early_step);
       hspan.metric("residual_bound", results[j].residual_bound);
       hspan.metric("truncation.k_fox_glynn", h.fox_glynn_right);
       hspan.metric("truncation.k_effective", h.executed);
@@ -823,6 +659,19 @@ std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const B
     }
   }
   return results;
+}
+
+}  // namespace
+
+TransientResult timed_reachability(const Ctmc& chain, const BitVector& goal,
+                                   double t, const TransientOptions& options) {
+  return std::move(solve_horizons(chain, goal, {t}, options, true).front());
+}
+
+std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const BitVector& goal,
+                                                      const std::vector<double>& times,
+                                                      const TransientOptions& options) {
+  return solve_horizons(chain, goal, times, options, false);
 }
 
 TransientResult interval_reachability(const Ctmc& chain, const BitVector& goal,
@@ -891,13 +740,6 @@ TransientResult interval_reachability(const Ctmc& chain, const BitVector& goal,
                         phase_a.iterations + psi.right(),
                         psi.tail_mass(i + 1) + phase_a.residual_bound + options.epsilon,
                         std::span<double>(next.data(), next.size()));
-    }
-    if (options.early_termination &&
-        max_abs_diff(cur, next) <= options.early_termination_delta) {
-      const double tail = psi.tail_mass(i + 1);
-      for (std::size_t s = 0; s < n; ++s) acc[s] += tail * next[s];
-      residual += options.early_termination_delta;
-      break;
     }
     cur.swap(next);
   }

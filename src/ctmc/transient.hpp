@@ -5,6 +5,11 @@
 //     pi(t) = sum_n psi(n, E t) * pi(0) P^n
 // for the uniformized jump matrix P, and time-bounded reachability of a goal
 // set B is the transient mass in B after making B absorbing.
+//
+// timed_reachability is a batch of one horizon through the same shared
+// sweep as timed_reachability_batch.  Its only stop before the Poisson
+// window's right end is the certified Lyapunov fold, so residual_bound
+// stays sound on every chain.
 #pragma once
 
 #include <cstdint>
@@ -41,12 +46,6 @@ struct TransientOptions {
   /// off; once every row is locked the matrix sweeps stop entirely and
   /// only the Poisson accumulation continues.
   bool locking = true;
-  /// Steady-state detection: once the iteration vector has converged to
-  /// within early_termination_delta in sup norm, the remaining Poisson mass
-  /// is folded in analytically and the loop stops.  Exact for absorbing
-  /// chains up to the requested precision; a large win for long horizons.
-  bool early_termination = false;
-  double early_termination_delta = 1e-12;
   /// Worker threads for the per-iteration matrix sweeps.  0 picks
   /// hardware_concurrency, 1 is the serial path (no threads spawned).
   /// Results are bit-identical for every thread count: both sweep
@@ -65,11 +64,14 @@ struct TransientOptions {
   /// partial result: `status` names the cause, `residual_bound` bounds
   /// |reported - true| per state by the unaccumulated Poisson window mass
   /// (plus the epsilon slop).  Null = unguarded, bit-identical to
-  /// pre-guard behaviour.
+  /// pre-guard behaviour.  Checkpoints are published by
+  /// transient_distribution, interval_reachability and a one-horizon
+  /// timed_reachability solve (a single call or a batch of one), never by
+  /// a multi-horizon batch (there is no single iterate to publish).
   RunGuard* guard = nullptr;
   /// Optional observability: a "transient" / "ctmc_reachability" /
   /// "interval_reachability" span with the Poisson window, iteration
-  /// counts and early-termination step, plus per-worker row counters
+  /// counts and truncation counters, plus per-worker row counters
   /// ("ctmc.rows.worker<i>") batched once per sweep.  A live registry
   /// only observes — results stay bit-identical with telemetry on or off.
   Telemetry* telemetry = nullptr;
@@ -81,8 +83,8 @@ struct TransientResult {
   /// Number of jump-matrix applications the Poisson window demands (the
   /// right truncation bound).
   std::uint64_t iterations = 0;
-  /// Applications actually performed (< iterations when steady-state
-  /// detection fired).
+  /// Applications actually performed (< iterations when the Lyapunov fold
+  /// fired).
   std::uint64_t iterations_executed = 0;
   /// Uniformization rate actually used.
   double uniform_rate = 0.0;
@@ -112,7 +114,9 @@ TransientResult transient_distribution(const Ctmc& chain, double t,
 
 /// For every state s: probability to reach (and possibly leave again —
 /// prevented by making @p goal absorbing internally) a goal state within
-/// @p t time units, Pr(s, <=t, B).
+/// @p t time units, Pr(s, <=t, B).  Exactly
+/// timed_reachability_batch(chain, goal, {t}, options)[0], reported under
+/// its own "ctmc_reachability" span.
 TransientResult timed_reachability(const Ctmc& chain, const BitVector& goal,
                                    double t, const TransientOptions& options = {});
 
@@ -121,11 +125,12 @@ TransientResult timed_reachability(const Ctmc& chain, const BitVector& goal,
 /// step vectors v_i of the absorbing uniformized chain do not depend on
 /// the time bound — only the Poisson weights do — so the batch performs
 /// the matrix sweeps once and keeps one weighted accumulator per horizon.
-/// Every answer (values, residual bound, iteration counts, early
-/// termination) is bit-identical to an independent
-/// `timed_reachability(chain, goal, times[j], options)` call.  A guard
-/// stop finalizes the unfinished horizons with their own sound residual
-/// bounds; guard checkpoints are not published from batch solves.
+/// Every answer (values, residual bound, iteration counts, Lyapunov folds)
+/// is bit-identical to an independent
+/// `timed_reachability(chain, goal, times[j], options)` call — that call is
+/// this engine with one horizon.  A guard stop finalizes the unfinished
+/// horizons with their own sound residual bounds; guard checkpoints are
+/// published only by a batch of exactly one horizon.
 std::vector<TransientResult> timed_reachability_batch(const Ctmc& chain, const BitVector& goal,
                                                       const std::vector<double>& times,
                                                       const TransientOptions& options = {});

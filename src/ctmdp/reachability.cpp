@@ -267,617 +267,49 @@ double relax_dense_block(const KernelOps& ops, const DenseKernelView& view, doub
   return local;
 }
 
-}  // namespace
-
-TimedReachabilityResult timed_reachability(const Ctmdp& model, const BitVector& goal,
-                                           double t, const TimedReachabilityOptions& options) {
+/// The one Algorithm-1 engine behind timed_reachability and
+/// timed_reachability_batch.  @p single selects the single-horizon call's
+/// error prefix and its flat "reachability" span; the arithmetic is the
+/// same either way, so a single-t solve is literally a batch of one.
+std::vector<TimedReachabilityResult> solve_horizons(const Ctmdp& model, const BitVector& goal,
+                                                    const std::vector<double>& times,
+                                                    const TimedReachabilityOptions& options,
+                                                    bool single) {
+  const std::string fn = single ? "timed_reachability" : "timed_reachability_batch";
   check_inputs(model, goal);
-  if (t < 0.0) throw ModelError("timed_reachability: negative time bound");
-  const auto uniform = model.uniform_rate(1e-6);
-  if (!uniform) {
-    throw UniformityError(
-        "timed_reachability: model is not uniform; construct it uniformly or uniformize first");
-  }
-  const double e = *uniform;
-  const std::size_t n = model.num_states();
-  const bool maximize = options.objective == Objective::Maximize;
-  const Backend backend = resolve_backend(options.backend);
-
-  TimedReachabilityResult result;
-  result.uniform_rate = e;
-  result.lambda = e * t;
-
-  std::optional<Telemetry::Span> span;
-  if (options.telemetry != nullptr) span.emplace(options.telemetry->span("reachability"));
-
-  // Truncation policy (DESIGN.md Sec. 14).  extract_scheduler pins the
-  // pure Fox-Glynn schedule: the decision table must hold one faithful row
-  // per planned step, which a certified stop would leave unfilled.
-  const TruncationPlan plan = plan_truncation(
-      options.extract_scheduler ? Truncation::FoxGlynn : options.truncation, e * t,
-      options.epsilon);
-  const PoissonWindow& psi = plan.window;
-  const std::uint64_t k = psi.right();
-  result.iterations_planned = k;
-  result.truncation = plan.resolved;
-
-  if (!options.avoid.empty() && options.avoid.size() != n) {
-    throw ModelError("timed_reachability: avoid vector size mismatch");
-  }
-  auto avoided = [&](StateId s) {
-    return !options.avoid.empty() && options.avoid[s] && !goal[s];
-  };
-
-  // The product k * n can overflow for pathological horizons (k grows with
-  // lambda without bound); a wrapped product below the cap would commit to
-  // allocating the astronomically large true table, so saturate instead.
-  const bool record_all_decisions =
-      options.extract_scheduler &&
-      saturating_mul(k, static_cast<std::uint64_t>(n)) <= options.max_decision_entries;
-  if (options.extract_scheduler) {
-    result.initial_decision.assign(n, kNoTransition);
-    if (record_all_decisions) result.decisions.resize(k);
-  }
-
-  RunGuard* const guard = options.guard;
-  std::uint64_t executed = 0;
-  std::uint64_t start_i = k;
-  if (options.resume != nullptr) {
-    const TimedReachabilityResult& prior = *options.resume;
-    if (prior.status == RunStatus::Converged || prior.iterate.size() != n) {
-      throw ModelError("timed_reachability: resume requires a partial result for this model");
-    }
-    if (prior.iterations_planned != k || prior.iterations_executed >= k) {
-      throw ModelError("timed_reachability: resume horizon mismatch (model, t or epsilon changed)");
-    }
-    executed = prior.iterations_executed;
-    start_i = k - executed;
-    // The steps the prior run already executed recorded their decision rows
-    // into its partial result; a resumed run only sweeps i = start_i..1, so
-    // without this merge the resumed scheduler artifact would silently lose
-    // every pre-interruption row (indices [start_i, k)) and disagree with
-    // an uninterrupted run.
-    if (record_all_decisions && prior.decisions.size() == k) {
-      for (std::uint64_t j = start_i; j < k; ++j) result.decisions[j] = prior.decisions[j];
-    }
-  }
-
-  std::atomic<bool> sweep_aborted{false};
-  bool stopped = false;
-  bool early_fired = false;
-  std::uint64_t early_step = 0;
-  unsigned pool_size = 0;
-
-  if (backend == Backend::Serial) {
-    // ---- Serial engine: the historical flat sweep, bit-identical to the
-    // pre-backend solver (strictly sequential per-transition accumulation).
-    std::optional<DiscreteKernel> own_kernel;
-    if (options.discrete_kernel == nullptr) own_kernel.emplace(model, goal);
-    const DiscreteKernel& kernel =
-        options.discrete_kernel != nullptr ? *options.discrete_kernel : *own_kernel;
-    if (kernel.state_first.size() != n + 1) {
-      throw ModelError("timed_reachability: injected discrete kernel does not fit the model");
-    }
-
-    // q_next = q_{i+1}, q_cur = q_i.
-    std::vector<double> q_next(n, 0.0);
-    std::vector<double> q_cur(n, 0.0);
-    std::vector<std::uint64_t> decision(options.extract_scheduler ? n : 0, kNoTransition);
-    if (options.resume != nullptr) {
-      q_next = options.resume->iterate;
-      // A resume iterate is external input just like a checkpoint write; a
-      // non-finite entry would corrupt the result without tripping the
-      // per-sweep delta check (see the checkpoint validation below).
-      require_finite_values(q_next, "timed_reachability resume");
-    }
-
-    WorkerPool pool = make_worker_pool(options.threads, n);
-    pool_size = pool.size();
-    std::vector<WorkerPool::Slot> delta_slot(pool.size());
-    const std::vector<Counter*> row_counters =
-        worker_row_counters(options.telemetry, "reachability.rows.worker", pool.size());
-    Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
-
-    // On-the-fly convergence locking (DESIGN.md Sec. 14): below the window
-    // a row whose value came back bit-identical with every successor
-    // already locked is an exact fixpoint of its own update.  At lock time
-    // both double-buffers hold the same bits, so skipped rows need no
-    // copies, contribute exactly 0 to the sweep delta, and reported values
-    // are bit-identical with locking on or off.  Candidates are staged
-    // per worker and applied after the barrier, so the locked set is a
-    // deterministic function of the iterate for every thread count.
-    const bool locking = options.locking && !options.extract_scheduler;
-    BitVector locked;
-    std::size_t locked_count = 0;
-    std::vector<std::vector<StateId>> cand;
-    if (locking) {
-      locked.assign(n, false);
-      cand.resize(pool.size());
-    }
-    std::vector<std::uint64_t> upd_slots(pool.size() * std::size_t{8}, 0);
-
-    // Lyapunov certificate (engaged plans only): survival iterate u and
-    // its scalar contraction record.
-    LyapunovSeries series(plan.stop_epsilon);
-    bool cert_active = plan.engaged();
-    bool lyap_fired = false;
-    double lyap_error = 0.0;
-    std::vector<double> u;
-    std::vector<double> u_next;
-    std::vector<WorkerPool::Slot> u_slot;
-    if (cert_active) {
-      u.assign(n, 0.0);
-      u_next.assign(n, 0.0);
-      for (StateId s = 0; s < n; ++s) u[s] = (goal[s] || avoided(s)) ? 0.0 : 1.0;
-      u_slot.resize(pool.size());
-      // Resume catch-up: replay the ages an uninterrupted run would have
-      // recorded by now, so a resumed run reaches every stop decision at
-      // the identical step (the record is a pure function of the kernel).
-      // The probe cap bounds the replay on non-contracting models.
-      const std::uint64_t replay = psi.left() > start_i + 1 ? psi.left() - start_i - 1 : 0;
-      for (std::uint64_t j = 0; j < replay && cert_active; ++j) {
-        series.record(survival_step_serial(kernel, goal, options.avoid, pool, u_slot, u, u_next));
-        u.swap(u_next);
-        if (series.should_disengage(series.size())) {
-          cert_active = false;
-          u = std::vector<double>();
-          u_next = std::vector<double>();
-        }
-      }
-    }
-
-    for (std::uint64_t i = start_i; i >= 1; --i) {
-      if (guard != nullptr && guard->poll() != RunStatus::Converged) {
-        stopped = true;
-        result.residual_bound = partial_residual(psi, i, plan.window_epsilon);
-        break;
-      }
-      const double w = psi.psi(i);
-      // Candidacy only below the window: there w == 0, so a row's update
-      // no longer depends on the step index and bitwise-stable means
-      // stable forever.
-      const bool lock_sweep = locking && i < psi.left();
-      pool.run(n, [&](unsigned worker, std::size_t begin, std::size_t end) {
-        const double* q = q_next.data();
-        double local_delta = 0.0;
-        std::uint64_t rows = 0;
-        std::vector<StateId>* const my_cand = lock_sweep ? &cand[worker] : nullptr;
-        for (std::size_t blk = begin; blk < end; blk += kGuardBlock) {
-          if (guard != nullptr && guard->should_abort_sweep()) {
-            sweep_aborted.store(true, std::memory_order_relaxed);
-            break;
-          }
-          const std::size_t blk_end = std::min(end, blk + kGuardBlock);
-          for (StateId s = blk; s < blk_end; ++s) {
-            if (locked_count != 0 && locked[s]) continue;  // frozen: both buffers agree
-            ++rows;
-            if (goal[s]) {
-              q_cur[s] = w + q[s];
-              if (options.extract_scheduler) decision[s] = kNoTransition;
-              if (my_cand != nullptr && same_bits(q_cur[s], q[s])) my_cand->push_back(s);
-            } else if (avoided(s)) {
-              q_cur[s] = 0.0;
-              if (options.extract_scheduler) decision[s] = kNoTransition;
-              if (my_cand != nullptr && same_bits(0.0, q[s])) my_cand->push_back(s);
-            } else {
-              const std::uint64_t first = kernel.state_first[s];
-              const std::uint64_t last = kernel.state_first[s + 1];
-              double best = first == last ? 0.0 : (maximize ? -1.0 : 2.0);
-              std::uint64_t best_t = kNoTransition;
-              for (std::uint64_t tr = first; tr < last; ++tr) {
-                const double acc = kernel.transition_value(tr, w, q);
-                if (maximize ? acc > best : acc < best) {
-                  best = acc;
-                  best_t = tr;
-                }
-              }
-              // NaN-capturing max: identical to std::max for finite deltas
-              // (bit-identical results) but latches NaN, which std::max
-              // would silently drop.
-              const double dev = std::fabs(best - q[s]);
-              if (!(dev <= local_delta)) local_delta = dev;
-              q_cur[s] = best;
-              if (options.extract_scheduler) decision[s] = best_t;
-              if (my_cand != nullptr && same_bits(best, q[s]) &&
-                  serial_row_closed(kernel, locked, s)) {
-                my_cand->push_back(s);
-              }
-            }
-          }
-        }
-        delta_slot[worker].value = local_delta;
-        upd_slots[worker * std::size_t{8}] += rows;
-        if (rows_out != nullptr) rows_out[worker]->add(rows);
-      });
-      if (guard != nullptr && sweep_aborted.load(std::memory_order_relaxed)) {
-        // The sweep for step i was abandoned mid-flight: q_cur is partially
-        // written, so the partial result is the last *completed* iterate in
-        // q_next and step i counts as unconsumed.
-        stopped = true;
-        result.residual_bound = partial_residual(psi, i, plan.window_epsilon);
-        break;
-      }
-      const double delta = WorkerPool::reduce_max(delta_slot);
-      if (!std::isfinite(delta)) {
-        throw NumericError("timed_reachability: non-finite update at step " + std::to_string(i) +
-                           " (NaN/Inf reached the iterate)");
-      }
-      q_cur.swap(q_next);  // q_next now holds q_i for the next round
-      ++executed;
-
-      if (lock_sweep) {
-        // Applied only after the barrier and the NaN check: candidacy was
-        // judged against the pre-sweep locked set on every worker, so the
-        // resulting set is identical for every thread count.
-        for (std::vector<StateId>& c : cand) {
-          for (const StateId s : c) locked.set(s);
-          locked_count += c.size();
-          c.clear();
-        }
-      }
-
-      if (record_all_decisions) result.decisions[i - 1] = decision;
-      if (options.extract_scheduler && i == 1) result.initial_decision = decision;
-
-      if (guard != nullptr && guard->wants_checkpoint(executed)) {
-        guard->checkpoint("timed_reachability", executed, k,
-                          partial_residual(psi, i - 1, plan.window_epsilon),
-                          std::span<double>(q_next.data(), q_next.size()));
-        // The callback writes through the span (checkpoint persistence, fault
-        // injection), so the iterate is untrusted on return.  A non-finite
-        // entry would be silently dropped by the action comparisons above —
-        // NaN compares false both ways — leaving finite wrong values, so it
-        // must be rejected here at the trust boundary.
-        require_finite_values(q_next, "timed_reachability checkpoint");
-        // The writer may also have changed a locked row, whose twin buffer
-        // would then be stale — drop every lock and let candidacy
-        // re-establish them from the (possibly rewritten) iterate.
-        if (locked_count != 0) {
-          locked.assign(n, false);
-          locked_count = 0;
-        }
-      }
-
-      if (options.early_termination && i > 1) {
-        // Below the Poisson window no further psi mass arrives; once the
-        // vector stops moving the remaining iterations are no-ops up to
-        // early_termination_delta.  Gate on the window bound only: inside
-        // the window every stored weight is strictly positive by
-        // construction (PoissonWindow::compute throws at the underflow
-        // frontier), so a psi(i-1) == 0.0 test is at best redundant — and
-        // if an interior weight ever *could* underflow, firing on it would
-        // silently skip steps that still carry mass, widening the achieved
-        // epsilon without being reported in residual_bound.
-        if (i - 1 < psi.left()) {
-          if (delta <= options.early_termination_delta) {
-            if (options.extract_scheduler) result.initial_decision = decision;
-            early_fired = true;
-            early_step = i;
-            break;
-          }
-        }
-      }
-
-      // Exact fixpoint below the window: delta == 0 means q_i and q_{i+1}
-      // are bit-identical, and with w == 0 every remaining sweep applies
-      // the same operator to the same vector — provable no-ops.  Zero
-      // extra error, so the converged residual stays untouched.
-      if (locking && i > 1 && i <= psi.left() && delta == 0.0) {
-        result.exact_fixpoint = true;
-        break;
-      }
-
-      // Lyapunov certificate: advance the survival iterate, and below the
-      // window test whether the forfeited tail delta * series_bound fits
-      // under stop_epsilon.  i == 1 is excluded (nothing left to skip).
-      if (cert_active && i > 1 && i < psi.left()) {
-        series.record(survival_step_serial(kernel, goal, options.avoid, pool, u_slot, u, u_next));
-        u.swap(u_next);
-        const std::uint64_t age = psi.left() - i;
-        if (series.should_disengage(age)) {
-          cert_active = false;
-          u = std::vector<double>();
-          u_next = std::vector<double>();
-        } else if (series.certifies(delta, age)) {
-          lyap_fired = true;
-          lyap_error = series.stop_error(delta, age);
-          result.k_lyapunov = executed;
-          break;
-        }
-      }
-    }
-    result.iterations_executed = executed;
-    result.state_updates = 0;
-    for (std::size_t wkr = 0; wkr < pool.size(); ++wkr) {
-      result.state_updates += upd_slots[wkr * std::size_t{8}];
-    }
-    result.locked_final = locked_count;
-
-    if (stopped) {
-      result.status = guard->status();
-      result.iterate = q_next;  // raw iterate, resumable
-    } else if (lyap_fired) {
-      result.residual_bound = plan.window_epsilon + lyap_error;
-    } else {
-      result.residual_bound =
-          plan.window_epsilon + (early_fired ? options.early_termination_delta : 0.0);
-    }
-
-    require_finite_values(q_next, "timed_reachability");
-    result.values = std::move(q_next);
-  } else {
-    // ---- Dense (simd) engine: sweep only the non-goal, non-avoided rows
-    // with the branching mass into B folded into the scalar goal iterate
-    // G_i = psi(i) + G_{i+1} (see DenseKernel).  Same guard blocks,
-    // checkpoint points and delta semantics as the serial engine; the
-    // external contract (checkpoint spans, resume iterates) stays in
-    // full-state vectors via DenseBridge, so partial results interoperate
-    // across backends.
-    std::optional<DenseKernel> own_kernel;
-    if (options.dense_kernel == nullptr) own_kernel.emplace(model, goal, options.avoid);
-    const DenseKernel& kernel =
-        options.dense_kernel != nullptr ? *options.dense_kernel : *own_kernel;
-    if (kernel.dense_index.size() != n) {
-      throw ModelError("timed_reachability: injected dense kernel does not fit the model");
-    }
-    const KernelOps& ops = kernel_ops(backend);
-    const DenseKernelView view = kernel.view();
-    const DenseBridge bridge{kernel, goal};
-    const std::uint64_t rows = kernel.num_rows();
-
-    std::vector<double> dq_next(rows, 0.0);
-    std::vector<double> dq_cur(rows, 0.0);
-    std::vector<std::uint64_t> ddec(options.extract_scheduler ? rows : 0, kNoTransition);
-    std::uint64_t* const ddec_ptr = options.extract_scheduler ? ddec.data() : nullptr;
-    std::vector<double> q_full(n, 0.0);
-    double goal_value = 0.0;  // G_{i+1}, starting from q_{k+1} = 0
-
-    if (options.resume != nullptr) {
-      q_full = options.resume->iterate;
-      require_finite_values(q_full, "timed_reachability resume");
-      goal_value = bridge.ingest(q_full, dq_next);
-    }
-
-    WorkerPool pool = make_worker_pool(options.threads, rows);
-    pool_size = pool.size();
-    std::vector<WorkerPool::Slot> delta_slot(pool.size());
-    const std::vector<Counter*> row_counters =
-        worker_row_counters(options.telemetry, "reachability.rows.worker", pool.size());
-    Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
-
-    // Locking + certificate state over *dense* rows; same invariants as the
-    // serial engine (goal/avoided rows are not materialized here, so the
-    // big goal-plateau freeze is a serial-engine property — dense already
-    // never sweeps those rows).  Below the window the folded goal value
-    // G_i stays constant (psi == 0), so bitwise-stable closed rows are
-    // exact fixpoints of their relaxation.
-    const bool locking = options.locking && !options.extract_scheduler;
-    BitVector locked;
-    std::size_t locked_count = 0;
-    std::vector<std::vector<StateId>> cand;
-    if (locking) {
-      locked.assign(rows, false);
-      cand.resize(pool.size());
-    }
-    std::vector<std::uint64_t> upd_slots(pool.size() * std::size_t{8}, 0);
-
-    LyapunovSeries series(plan.stop_epsilon);
-    bool cert_active = plan.engaged();
-    bool lyap_fired = false;
-    double lyap_error = 0.0;
-    std::vector<double> u;
-    std::vector<double> u_next;
-    std::vector<WorkerPool::Slot> u_slot;
-    if (cert_active) {
-      u.assign(rows, 1.0);  // dense rows are exactly the non-goal, non-avoided states
-      u_next.assign(rows, 0.0);
-      u_slot.resize(pool.size());
-      const std::uint64_t replay = psi.left() > start_i + 1 ? psi.left() - start_i - 1 : 0;
-      for (std::uint64_t j = 0; j < replay && cert_active; ++j) {
-        series.record(survival_step_dense(ops, view, pool, u_slot, u, u_next));
-        u.swap(u_next);
-        if (series.should_disengage(series.size())) {
-          cert_active = false;
-          u = std::vector<double>();
-          u_next = std::vector<double>();
-        }
-      }
-    }
-
-    for (std::uint64_t i = start_i; i >= 1; --i) {
-      if (guard != nullptr && guard->poll() != RunStatus::Converged) {
-        stopped = true;
-        result.residual_bound = partial_residual(psi, i, plan.window_epsilon);
-        break;
-      }
-      const double gi = psi.psi(i) + goal_value;  // G_i, the goal value of q_i
-      const bool lock_sweep = locking && i < psi.left();
-      pool.run(rows, [&](unsigned worker, std::size_t begin, std::size_t end) {
-        const double* q = dq_next.data();
-        double local_delta = 0.0;
-        std::uint64_t swept = 0;
-        const BitVector* const lockp = locked_count != 0 || lock_sweep ? &locked : nullptr;
-        std::vector<StateId>* const my_cand = lock_sweep ? &cand[worker] : nullptr;
-        for (std::size_t blk = begin; blk < end; blk += kGuardBlock) {
-          if (guard != nullptr && guard->should_abort_sweep()) {
-            sweep_aborted.store(true, std::memory_order_relaxed);
-            break;
-          }
-          const std::size_t blk_end = std::min(end, blk + kGuardBlock);
-          double d;
-          if (lockp != nullptr) {
-            d = relax_dense_block(ops, view, gi, maximize, q, dq_cur.data(), ddec_ptr, blk,
-                                  blk_end, lockp, my_cand, swept);
-          } else {
-            swept += blk_end - blk;
-            d = ops.relax_rows(view, gi, maximize, q, dq_cur.data(), ddec_ptr, blk, blk_end);
-          }
-          if (!(d <= local_delta)) local_delta = d;  // NaN-capturing max
-        }
-        delta_slot[worker].value = local_delta;
-        upd_slots[worker * std::size_t{8}] += swept;
-        if (rows_out != nullptr) rows_out[worker]->add(swept);
-      });
-      if (guard != nullptr && sweep_aborted.load(std::memory_order_relaxed)) {
-        stopped = true;
-        result.residual_bound = partial_residual(psi, i, plan.window_epsilon);
-        break;
-      }
-      const double delta = WorkerPool::reduce_max(delta_slot);
-      if (!std::isfinite(delta)) {
-        throw NumericError("timed_reachability: non-finite update at step " + std::to_string(i) +
-                           " (NaN/Inf reached the iterate)");
-      }
-      dq_cur.swap(dq_next);
-      goal_value = gi;
-      ++executed;
-
-      if (lock_sweep) {
-        for (std::vector<StateId>& c : cand) {
-          for (const StateId s : c) locked.set(s);
-          locked_count += c.size();
-          c.clear();
-        }
-      }
-
-      if (record_all_decisions) result.decisions[i - 1] = bridge.expand_decisions(ddec);
-      if (options.extract_scheduler && i == 1) {
-        result.initial_decision = bridge.expand_decisions(ddec);
-      }
-
-      if (guard != nullptr && guard->wants_checkpoint(executed)) {
-        bridge.materialize(dq_next, goal_value, q_full);
-        guard->checkpoint("timed_reachability", executed, k,
-                          partial_residual(psi, i - 1, plan.window_epsilon),
-                          std::span<double>(q_full.data(), q_full.size()));
-        // Same trust boundary as the serial engine: the span is writable by
-        // external code, so validate and re-ingest whatever came back.
-        require_finite_values(q_full, "timed_reachability checkpoint");
-        goal_value = bridge.ingest(q_full, dq_next);
-        // Re-ingesting rewrites dq_next wholesale, so every lock's
-        // both-buffers-agree invariant is void — drop them all.
-        if (locked_count != 0) {
-          locked.assign(rows, false);
-          locked_count = 0;
-        }
-      }
-
-      // Window-bound-only gate; see the serial engine for why psi == 0 must
-      // not participate.
-      if (options.early_termination && i > 1 && i - 1 < psi.left() &&
-          delta <= options.early_termination_delta) {
-        if (options.extract_scheduler) result.initial_decision = bridge.expand_decisions(ddec);
-        early_fired = true;
-        early_step = i;
-        break;
-      }
-
-      // Exact fixpoint / Lyapunov certificate — same derivations as the
-      // serial engine (below the window G stays constant, so the dense
-      // relaxation is the same operator every remaining sweep).
-      if (locking && i > 1 && i <= psi.left() && delta == 0.0) {
-        result.exact_fixpoint = true;
-        break;
-      }
-      if (cert_active && i > 1 && i < psi.left()) {
-        series.record(survival_step_dense(ops, view, pool, u_slot, u, u_next));
-        u.swap(u_next);
-        const std::uint64_t age = psi.left() - i;
-        if (series.should_disengage(age)) {
-          cert_active = false;
-          u = std::vector<double>();
-          u_next = std::vector<double>();
-        } else if (series.certifies(delta, age)) {
-          lyap_fired = true;
-          lyap_error = series.stop_error(delta, age);
-          result.k_lyapunov = executed;
-          break;
-        }
-      }
-    }
-    result.iterations_executed = executed;
-    result.state_updates = 0;
-    for (std::size_t wkr = 0; wkr < pool.size(); ++wkr) {
-      result.state_updates += upd_slots[wkr * std::size_t{8}];
-    }
-    result.locked_final = locked_count;
-
-    bridge.materialize(dq_next, goal_value, q_full);
-    if (stopped) {
-      result.status = guard->status();
-      result.iterate = q_full;  // full-state raw iterate, resumable by any backend
-    } else if (lyap_fired) {
-      result.residual_bound = plan.window_epsilon + lyap_error;
-    } else {
-      result.residual_bound =
-          plan.window_epsilon + (early_fired ? options.early_termination_delta : 0.0);
-    }
-
-    require_finite_values(q_full, "timed_reachability");
-    result.values = std::move(q_full);
-    if (span) span->metric("dense_rows", rows);
-  }
-
-  for (StateId s = 0; s < n; ++s) {
-    result.values[s] = goal[s] ? 1.0 : clamp01(result.values[s]);
-  }
-  if (span) {
-    span->metric("states", n);
-    span->metric("transitions", model.num_transitions());
-    span->metric("uniform_rate", e);
-    span->metric("lambda", result.lambda);
-    span->metric("poisson_left", psi.left());
-    span->metric("poisson_right", k);
-    span->metric("poisson_width", k - psi.left() + 1);
-    span->metric("iterations_planned", k);
-    span->metric("iterations_executed", executed);
-    span->metric("early_termination_step", early_step);
-    span->metric("threads", pool_size);
-    span->metric("residual_bound", result.residual_bound);
-    span->metric("truncation.k_fox_glynn", plan.fox_glynn_right);
-    span->metric("truncation.k_effective", executed);
-    span->metric("truncation.k_lyapunov", result.k_lyapunov);
-    span->metric("truncation.locked_final", result.locked_final);
-    span->metric("truncation.state_updates", result.state_updates);
-  }
-  return result;
-}
-
-std::vector<TimedReachabilityResult> timed_reachability_batch(
-    const Ctmdp& model, const BitVector& goal, const std::vector<double>& times,
-    const TimedReachabilityOptions& options) {
-  check_inputs(model, goal);
-  if (options.resume != nullptr) {
-    throw ModelError(
-        "timed_reachability_batch: resume is not supported for batch solves; resume the "
-        "interrupted horizon via timed_reachability");
+  const std::size_t num_horizons = times.size();
+  const TimedReachabilityResult* const prior = options.resume;
+  if (prior != nullptr && num_horizons != 1) {
+    throw ModelError(fn +
+                     ": resume needs a batch of exactly one horizon; resume the interrupted "
+                     "horizon on its own");
   }
   for (const double t : times) {
-    if (!(t >= 0.0)) throw ModelError("timed_reachability_batch: negative time bound");
+    if (!(t >= 0.0)) throw ModelError(fn + ": negative time bound");
   }
   const auto uniform = model.uniform_rate(1e-6);
   if (!uniform) {
-    throw UniformityError(
-        "timed_reachability_batch: model is not uniform; construct it uniformly or uniformize "
-        "first");
+    throw UniformityError(fn +
+                          ": model is not uniform; construct it uniformly or uniformize first");
   }
   const double e = *uniform;
   const std::size_t n = model.num_states();
   const bool maximize = options.objective == Objective::Maximize;
   const Backend backend = resolve_backend(options.backend);
   if (!options.avoid.empty() && options.avoid.size() != n) {
-    throw ModelError("timed_reachability_batch: avoid vector size mismatch");
+    throw ModelError(fn + ": avoid vector size mismatch");
   }
   auto avoided = [&](StateId s) {
     return !options.avoid.empty() && options.avoid[s] && !goal[s];
   };
 
-  const std::size_t num_horizons = times.size();
   std::vector<TimedReachabilityResult> results(num_horizons);
   if (num_horizons == 0) return results;
 
   std::optional<Telemetry::Span> span;
-  if (options.telemetry != nullptr) span.emplace(options.telemetry->span("reachability_batch"));
+  if (options.telemetry != nullptr) {
+    span.emplace(options.telemetry->span(single ? "reachability" : "reachability_batch"));
+  }
 
   // Every horizon keeps its own window and iterate: the iterate of a larger
   // horizon is *not* reusable for a smaller one (it weights the m-th future
@@ -892,8 +324,6 @@ std::vector<TimedReachabilityResult> timed_reachability_batch(
     std::uint64_t k = 0;
     bool record_all = false;
     bool done = false;
-    bool early_fired = false;
-    std::uint64_t early_step = 0;
     std::uint64_t executed = 0;
     double weight = 0.0;      // serial: psi(g); dense: G_g
     double goal_value = 0.0;  // dense engine: G_{g+1}
@@ -915,8 +345,15 @@ std::vector<TimedReachabilityResult> timed_reachability_batch(
     std::vector<std::vector<StateId>> cand;  // per-worker staging
   };
 
+  // Truncation policy (DESIGN.md Sec. 14).  extract_scheduler pins the
+  // pure Fox-Glynn schedule: the decision table must hold one faithful row
+  // per planned step, which a certified stop would leave unfilled.  The
+  // plan owns the epsilon split; every engaged plan of this solve carries
+  // the same stop budget, so one survival record serves them all.
   std::vector<Horizon> horizons(num_horizons);
   std::uint64_t k_max = 0;
+  double stop_epsilon = 0.0;
+  bool any_engaged = false;
   for (std::size_t j = 0; j < num_horizons; ++j) {
     Horizon& h = horizons[j];
     h.idx = j;
@@ -928,12 +365,20 @@ std::vector<TimedReachabilityResult> timed_reachability_batch(
     h.window_epsilon = hplan.window_epsilon;
     h.fox_glynn_right = hplan.fox_glynn_right;
     h.engaged = hplan.engaged();
-    results[j].truncation = hplan.resolved;
+    if (h.engaged) {
+      stop_epsilon = hplan.stop_epsilon;
+      any_engaged = true;
+    }
     k_max = std::max(k_max, h.k);
+    // The product k * n can overflow for pathological horizons (k grows
+    // with lambda without bound); a wrapped product below the cap would
+    // commit to allocating the astronomically large true table, so
+    // saturate instead.
     h.record_all =
         options.extract_scheduler &&
         saturating_mul(h.k, static_cast<std::uint64_t>(n)) <= options.max_decision_entries;
     TimedReachabilityResult& r = results[j];
+    r.truncation = hplan.resolved;
     r.uniform_rate = e;
     r.lambda = e * times[j];
     r.iterations_planned = h.k;
@@ -942,6 +387,32 @@ std::vector<TimedReachabilityResult> timed_reachability_batch(
       if (h.record_all) r.decisions.resize(h.k);
     }
   }
+
+  // A batch of one is the single-horizon solve, so it alone may resume a
+  // prior partial result (validated via iterations_planned and the iterate
+  // size) and publish guard checkpoints — there is exactly one iterate to
+  // hand over.  The resumed run sweeps g = k - executed .. 1; the decision
+  // rows the prior run already recorded are merged, or the resumed
+  // scheduler artifact would silently lose every pre-interruption row.
+  // The survival record needs no replay: its lazy advance below catches up
+  // to the first below-window age on its own.
+  std::uint64_t g_start = k_max;
+  if (prior != nullptr) {
+    Horizon& h = horizons[0];
+    if (prior->status == RunStatus::Converged || prior->iterate.size() != n) {
+      throw ModelError(fn + ": resume requires a partial result for this model");
+    }
+    if (prior->iterations_planned != h.k || prior->iterations_executed >= h.k) {
+      throw ModelError(fn + ": resume horizon mismatch (model, t or epsilon changed)");
+    }
+    h.executed = prior->iterations_executed;
+    g_start = h.k - h.executed;
+    if (h.record_all && prior->decisions.size() == h.k) {
+      for (std::uint64_t j = g_start; j < h.k; ++j) results[0].decisions[j] = prior->decisions[j];
+    }
+  }
+  RunGuard* const guard = options.guard;
+  RunGuard* const publisher = num_horizons == 1 ? guard : nullptr;
 
   // Bottom-aligned fusion: all horizons end at step 1 together, so horizon
   // j participates in global steps g = k_j .. 1 and its local step index
@@ -952,89 +423,135 @@ std::vector<TimedReachabilityResult> timed_reachability_batch(
   std::stable_sort(by_k.begin(), by_k.end(),
                    [](const Horizon* a, const Horizon* b) { return a->k > b->k; });
 
-  RunGuard* const guard = options.guard;
+  // Kernels.  The serial engine streams the flat DiscreteKernel over all n
+  // states with strictly sequential per-transition accumulation.  The
+  // dense (simd) engine sweeps only the non-goal, non-avoided rows, with
+  // the branching mass into B folded into a per-horizon scalar goal
+  // iterate G_g = psi(g) + G_{g+1} (see DenseKernel); the external
+  // contract (values, resume iterates, checkpoint spans) stays in
+  // full-state vectors via DenseBridge, so partial results interoperate
+  // across backends.
+  const bool dense = backend != Backend::Serial;
+  std::optional<DiscreteKernel> own_discrete;
+  std::optional<DenseKernel> own_dense;
+  const DiscreteKernel* discrete = options.discrete_kernel;
+  const DenseKernel* dkernel = options.dense_kernel;
+  if (!dense) {
+    if (discrete == nullptr) discrete = &own_discrete.emplace(model, goal);
+    if (discrete->state_first.size() != n + 1) {
+      throw ModelError(fn + ": injected discrete kernel does not fit the model");
+    }
+  } else {
+    if (dkernel == nullptr) dkernel = &own_dense.emplace(model, goal, options.avoid);
+    if (dkernel->dense_index.size() != n) {
+      throw ModelError(fn + ": injected dense kernel does not fit the model");
+    }
+  }
+  const KernelOps* const ops = dense ? &kernel_ops(backend) : nullptr;
+  const DenseKernelView view = dense ? dkernel->view() : DenseKernelView{};
+  std::optional<DenseBridge> bridge;
+  if (dense) bridge.emplace(DenseBridge{*dkernel, goal});
+  const std::size_t rows = dense ? dkernel->num_rows() : n;  // iterate length
+
+  for (Horizon& h : horizons) {
+    h.q_next.assign(rows, 0.0);
+    h.q_cur.assign(rows, 0.0);
+    if (options.extract_scheduler) h.decision.assign(rows, kNoTransition);
+  }
+  if (prior != nullptr) {
+    // A resume iterate is external input just like a checkpoint write; a
+    // non-finite entry would corrupt the result without tripping the
+    // per-sweep delta check (see the checkpoint validation below).
+    require_finite_values(prior->iterate, "timed_reachability resume");
+    if (dense) {
+      horizons[0].goal_value = bridge->ingest(prior->iterate, horizons[0].q_next);
+    } else {
+      horizons[0].q_next = prior->iterate;
+    }
+  }
+  // Full-state scratch for the dense engine's checkpoint hand-over.
+  std::vector<double> q_full(dense && publisher != nullptr ? n : 0, 0.0);
+
+  WorkerPool pool = make_worker_pool(options.threads, rows);
+  std::vector<std::vector<WorkerPool::Slot>> delta_slot(num_horizons);
+  for (auto& slots : delta_slot) slots.resize(pool.size());
+  const std::vector<Counter*> row_counters =
+      worker_row_counters(options.telemetry, "reachability.rows.worker", pool.size());
+  Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
+
+  // On-the-fly convergence locking (DESIGN.md Sec. 14), per horizon (each
+  // has its own iterate, hence its own frozen set): below the window a row
+  // whose value came back bit-identical with every successor already
+  // locked is an exact fixpoint of its own update.  At lock time both
+  // double-buffers hold the same bits, so skipped rows need no copies,
+  // contribute exactly 0 to the sweep delta, and reported values are
+  // bit-identical with locking on or off.  Candidates are staged per
+  // worker and applied after the barrier, so the locked set is a
+  // deterministic function of the iterate for every thread count.  Over
+  // dense rows the goal plateau is never swept at all, and below the
+  // window the folded goal value stays constant (psi == 0), so the same
+  // criterion holds.
+  const bool locking = options.locking && !options.extract_scheduler;
+  for (Horizon& h : horizons) {
+    if (locking) {
+      h.locked.assign(rows, false);
+      h.cand.resize(pool.size());
+    }
+  }
+  std::vector<std::vector<std::uint64_t>> upd_slots(
+      num_horizons, std::vector<std::uint64_t>(pool.size() * std::size_t{8}, 0));
+
+  // Lyapunov certificate: the survival sup sequence is a pure function of
+  // the kernel, not of the horizon, so one survival iterate u serves every
+  // engaged horizon at its own age (left_h - g).  Stop decisions are
+  // therefore bit-identical to each horizon's single-t run.
+  LyapunovSeries series(stop_epsilon);
+  bool cert_disengaged = false;
+  std::vector<double> u;
+  std::vector<double> u_next;
+  std::vector<WorkerPool::Slot> u_slot;
+  if (any_engaged) {
+    u.assign(rows, 1.0);  // dense rows are exactly the non-goal, non-avoided states
+    if (!dense) {
+      for (StateId s = 0; s < n; ++s) u[s] = (goal[s] || avoided(s)) ? 0.0 : 1.0;
+    }
+    u_next.assign(rows, 0.0);
+    u_slot.resize(pool.size());
+  }
+
   std::atomic<bool> sweep_aborted{false};
   bool stopped = false;
   std::uint64_t stop_step = 0;
-  unsigned pool_size = 0;
   std::vector<Horizon*> active;
   active.reserve(num_horizons);
-
-  if (backend == Backend::Serial) {
-    std::optional<DiscreteKernel> own_kernel;
-    if (options.discrete_kernel == nullptr) own_kernel.emplace(model, goal);
-    const DiscreteKernel& kernel =
-        options.discrete_kernel != nullptr ? *options.discrete_kernel : *own_kernel;
-    if (kernel.state_first.size() != n + 1) {
-      throw ModelError("timed_reachability_batch: injected discrete kernel does not fit the model");
+  std::size_t started = 0;  // prefix of by_k with k >= g
+  for (std::uint64_t g = g_start; g >= 1; --g) {
+    while (started < num_horizons && by_k[started]->k >= g) ++started;
+    active.clear();
+    for (std::size_t a = 0; a < started; ++a) {
+      if (!by_k[a]->done) active.push_back(by_k[a]);
     }
-
-    for (Horizon& h : horizons) {
-      h.q_next.assign(n, 0.0);
-      h.q_cur.assign(n, 0.0);
-      if (options.extract_scheduler) h.decision.assign(n, kNoTransition);
+    if (active.empty()) {
+      // Everything in flight stopped early; fast-forward to the next
+      // (strictly smaller) horizon start, or stop when none remain.
+      if (started == num_horizons) break;
+      g = by_k[started]->k + 1;
+      continue;
     }
-
-    WorkerPool pool = make_worker_pool(options.threads, n);
-    pool_size = pool.size();
-    std::vector<std::vector<WorkerPool::Slot>> delta_slot(num_horizons);
-    for (auto& slots : delta_slot) slots.resize(pool.size());
-    const std::vector<Counter*> row_counters =
-        worker_row_counters(options.telemetry, "reachability.rows.worker", pool.size());
-    Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
-
-    // Locking (per horizon — each has its own iterate) and the shared
-    // Lyapunov record: the survival sup sequence is a pure function of the
-    // kernel, not of the horizon, so one iterate serves every engaged
-    // horizon at its own age (left_h - g).  Stop decisions are therefore
-    // bit-identical to each horizon's single-t run.
-    const bool locking = options.locking && !options.extract_scheduler;
-    bool any_engaged = false;
-    for (Horizon& h : horizons) {
-      if (locking) {
-        h.locked.assign(n, false);
-        h.cand.resize(pool.size());
-      }
-      any_engaged = any_engaged || h.engaged;
+    if (guard != nullptr && guard->poll() != RunStatus::Converged) {
+      stopped = true;
+      stop_step = g;
+      break;
     }
-    std::vector<std::vector<std::uint64_t>> upd_slots(
-        num_horizons, std::vector<std::uint64_t>(pool.size() * std::size_t{8}, 0));
-    LyapunovSeries series(options.epsilon / 2.0);
-    bool cert_disengaged = false;
-    std::vector<double> u;
-    std::vector<double> u_next;
-    std::vector<WorkerPool::Slot> u_slot;
-    if (any_engaged) {
-      u.assign(n, 0.0);
-      u_next.assign(n, 0.0);
-      for (StateId s = 0; s < n; ++s) u[s] = (goal[s] || avoided(s)) ? 0.0 : 1.0;
-      u_slot.resize(pool.size());
+    for (Horizon* h : active) {
+      h->weight = dense ? h->psi.psi(g) + h->goal_value : h->psi.psi(g);
     }
-
-    std::size_t started = 0;  // prefix of by_k with k >= g
-    for (std::uint64_t g = k_max; g >= 1; --g) {
-      while (started < num_horizons && by_k[started]->k >= g) ++started;
-      active.clear();
-      for (std::size_t a = 0; a < started; ++a) {
-        if (!by_k[a]->done) active.push_back(by_k[a]);
-      }
-      if (active.empty()) {
-        // Everything in flight terminated early; fast-forward to the next
-        // (strictly smaller) horizon start, or stop when none remain.
-        if (started == num_horizons) break;
-        g = by_k[started]->k + 1;
-        continue;
-      }
-      if (guard != nullptr && guard->poll() != RunStatus::Converged) {
-        stopped = true;
-        stop_step = g;
-        break;
-      }
-      for (Horizon* h : active) h->weight = h->psi.psi(g);
-      Horizon* const* const act = active.data();
-      const std::size_t num_active = active.size();
+    Horizon* const* const act = active.data();
+    const std::size_t num_active = active.size();
+    if (!dense) {
+      const DiscreteKernel& kernel = *discrete;
       pool.run(n, [&](unsigned worker, std::size_t begin, std::size_t end) {
-        std::uint64_t rows = 0;
+        std::uint64_t swept = 0;
         for (std::size_t a = 0; a < num_active; ++a) {
           delta_slot[act[a]->idx][worker].value = 0.0;
         }
@@ -1054,6 +571,9 @@ std::vector<TimedReachabilityResult> timed_reachability_batch(
             double* out = h.q_cur.data();
             std::uint64_t* dec = options.extract_scheduler ? h.decision.data() : nullptr;
             const bool skip_locked = h.locked_count != 0;
+            // Candidacy only below the window: there w == 0, so a row's
+            // update no longer depends on the step index and
+            // bitwise-stable means stable forever.
             std::vector<StateId>* const my_cand =
                 locking && g < h.psi.left() ? &h.cand[worker] : nullptr;
             double local_delta = delta_slot[h.idx][worker].value;
@@ -1081,7 +601,9 @@ std::vector<TimedReachabilityResult> timed_reachability_batch(
                     best_t = tr;
                   }
                 }
-                // NaN-capturing max, as in the single-horizon engine.
+                // NaN-capturing max: identical to std::max for finite
+                // deltas (bit-identical results) but latches NaN, which
+                // std::max would silently drop.
                 const double dev = std::fabs(best - q[s]);
                 if (!(dev <= local_delta)) local_delta = dev;
                 out[s] = best;
@@ -1094,181 +616,12 @@ std::vector<TimedReachabilityResult> timed_reachability_batch(
             }
             delta_slot[h.idx][worker].value = local_delta;
             upd_slots[h.idx][worker * std::size_t{8}] += h_rows;
-            rows += h_rows;
+            swept += h_rows;
           }
         }
-        if (rows_out != nullptr) rows_out[worker]->add(rows);
+        if (rows_out != nullptr) rows_out[worker]->add(swept);
       });
-      if (guard != nullptr && sweep_aborted.load(std::memory_order_relaxed)) {
-        stopped = true;
-        stop_step = g;
-        break;
-      }
-      // Advance the shared survival record to the deepest age any engaged
-      // horizon checks this step.  Entries are horizon-independent, so the
-      // record (and the probe-cap disengage at its tail) replays exactly
-      // what each single-t run would compute.
-      if (any_engaged && !cert_disengaged && g > 1) {
-        std::uint64_t needed = 0;
-        for (Horizon* hp : active) {
-          const Horizon& h = *hp;
-          if (h.engaged && h.cert_ok && g < h.psi.left()) {
-            needed = std::max(needed, h.psi.left() - g);
-          }
-        }
-        while (!cert_disengaged && series.size() < needed) {
-          series.record(survival_step_serial(kernel, goal, options.avoid, pool, u_slot, u, u_next));
-          u.swap(u_next);
-          if (series.should_disengage(series.size())) {
-            cert_disengaged = true;
-            u = std::vector<double>();
-            u_next = std::vector<double>();
-          }
-        }
-      }
-      for (Horizon* hp : active) {
-        Horizon& h = *hp;
-        const double delta = WorkerPool::reduce_max(delta_slot[h.idx]);
-        if (!std::isfinite(delta)) {
-          throw NumericError("timed_reachability: non-finite update at step " +
-                             std::to_string(g) + " (NaN/Inf reached the iterate)");
-        }
-        h.q_cur.swap(h.q_next);
-        ++h.executed;
-        if (locking && g < h.psi.left()) {
-          for (std::vector<StateId>& c : h.cand) {
-            for (const StateId s : c) h.locked.set(s);
-            h.locked_count += c.size();
-            c.clear();
-          }
-        }
-        if (h.record_all) results[h.idx].decisions[g - 1] = h.decision;
-        if (options.extract_scheduler && g == 1) results[h.idx].initial_decision = h.decision;
-        if (options.early_termination && g > 1 && g - 1 < h.psi.left() &&
-            delta <= options.early_termination_delta) {
-          if (options.extract_scheduler) results[h.idx].initial_decision = h.decision;
-          h.early_fired = true;
-          h.early_step = g;
-          h.done = true;
-        }
-        // Same check order as the single-horizon engine: early termination,
-        // then exact fixpoint, then certificate.
-        if (!h.done && locking && g > 1 && g <= h.psi.left() && delta == 0.0) {
-          h.fixpoint = true;
-          h.done = true;
-        }
-        if (!h.done && h.engaged && h.cert_ok && g > 1 && g < h.psi.left()) {
-          const std::uint64_t age = h.psi.left() - g;
-          if (age > series.size() || series.should_disengage(age)) {
-            // The record stopped at the probe cap (or this age is past it):
-            // the single-t run disengaged at exactly this point too.
-            h.cert_ok = false;
-          } else if (series.certifies(delta, age)) {
-            h.lyap_fired = true;
-            h.lyap_error = series.stop_error(delta, age);
-            results[h.idx].k_lyapunov = h.executed;
-            h.done = true;
-          }
-        }
-      }
-    }
-
-    for (Horizon& h : horizons) {
-      TimedReachabilityResult& r = results[h.idx];
-      r.iterations_executed = h.executed;
-      r.exact_fixpoint = h.fixpoint;
-      r.locked_final = h.locked_count;
-      for (std::size_t wkr = 0; wkr < pool.size(); ++wkr) {
-        r.state_updates += upd_slots[h.idx][wkr * std::size_t{8}];
-      }
-      if (!h.done && stopped) {
-        r.status = guard->status();
-        r.residual_bound = partial_residual(h.psi, std::min(stop_step, h.k), h.window_epsilon);
-        r.iterate = h.q_next;
-      } else if (h.lyap_fired) {
-        r.residual_bound = h.window_epsilon + h.lyap_error;
-      } else {
-        r.residual_bound =
-            h.window_epsilon + (h.early_fired ? options.early_termination_delta : 0.0);
-      }
-      require_finite_values(h.q_next, "timed_reachability");
-      r.values = std::move(h.q_next);
-      for (StateId s = 0; s < n; ++s) {
-        r.values[s] = goal[s] ? 1.0 : clamp01(r.values[s]);
-      }
-      h.q_cur = std::vector<double>();
-    }
-  } else {
-    std::optional<DenseKernel> own_kernel;
-    if (options.dense_kernel == nullptr) own_kernel.emplace(model, goal, options.avoid);
-    const DenseKernel& kernel =
-        options.dense_kernel != nullptr ? *options.dense_kernel : *own_kernel;
-    if (kernel.dense_index.size() != n) {
-      throw ModelError("timed_reachability_batch: injected dense kernel does not fit the model");
-    }
-    const KernelOps& ops = kernel_ops(backend);
-    const DenseKernelView view = kernel.view();
-    const DenseBridge bridge{kernel, goal};
-    const std::uint64_t rows = kernel.num_rows();
-
-    for (Horizon& h : horizons) {
-      h.q_next.assign(rows, 0.0);
-      h.q_cur.assign(rows, 0.0);
-      if (options.extract_scheduler) h.decision.assign(rows, kNoTransition);
-    }
-
-    WorkerPool pool = make_worker_pool(options.threads, rows);
-    pool_size = pool.size();
-    std::vector<std::vector<WorkerPool::Slot>> delta_slot(num_horizons);
-    for (auto& slots : delta_slot) slots.resize(pool.size());
-    const std::vector<Counter*> row_counters =
-        worker_row_counters(options.telemetry, "reachability.rows.worker", pool.size());
-    Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
-
-    // Locking and shared certificate state, as in the serial batch engine
-    // but over dense rows.
-    const bool locking = options.locking && !options.extract_scheduler;
-    bool any_engaged = false;
-    for (Horizon& h : horizons) {
-      if (locking) {
-        h.locked.assign(rows, false);
-        h.cand.resize(pool.size());
-      }
-      any_engaged = any_engaged || h.engaged;
-    }
-    std::vector<std::vector<std::uint64_t>> upd_slots(
-        num_horizons, std::vector<std::uint64_t>(pool.size() * std::size_t{8}, 0));
-    LyapunovSeries series(options.epsilon / 2.0);
-    bool cert_disengaged = false;
-    std::vector<double> u;
-    std::vector<double> u_next;
-    std::vector<WorkerPool::Slot> u_slot;
-    if (any_engaged) {
-      u.assign(rows, 1.0);
-      u_next.assign(rows, 0.0);
-      u_slot.resize(pool.size());
-    }
-
-    std::size_t started = 0;
-    for (std::uint64_t g = k_max; g >= 1; --g) {
-      while (started < num_horizons && by_k[started]->k >= g) ++started;
-      active.clear();
-      for (std::size_t a = 0; a < started; ++a) {
-        if (!by_k[a]->done) active.push_back(by_k[a]);
-      }
-      if (active.empty()) {
-        if (started == num_horizons) break;
-        g = by_k[started]->k + 1;
-        continue;
-      }
-      if (guard != nullptr && guard->poll() != RunStatus::Converged) {
-        stopped = true;
-        stop_step = g;
-        break;
-      }
-      for (Horizon* h : active) h->weight = h->psi.psi(g) + h->goal_value;  // G_g
-      Horizon* const* const act = active.data();
-      const std::size_t num_active = active.size();
+    } else {
       pool.run(rows, [&](unsigned worker, std::size_t begin, std::size_t end) {
         std::uint64_t swept = 0;
         for (std::size_t a = 0; a < num_active; ++a) {
@@ -1287,13 +640,13 @@ std::vector<TimedReachabilityResult> timed_reachability_batch(
             double d;
             std::uint64_t h_swept = 0;
             if (h.locked_count != 0 || lock_sweep_h) {
-              d = relax_dense_block(ops, view, h.weight, maximize, h.q_next.data(),
+              d = relax_dense_block(*ops, view, h.weight, maximize, h.q_next.data(),
                                     h.q_cur.data(), dec, blk, blk_end, &h.locked,
                                     lock_sweep_h ? &h.cand[worker] : nullptr, h_swept);
             } else {
               h_swept = blk_end - blk;
-              d = ops.relax_rows(view, h.weight, maximize, h.q_next.data(), h.q_cur.data(), dec,
-                                 blk, blk_end);
+              d = ops->relax_rows(view, h.weight, maximize, h.q_next.data(), h.q_cur.data(), dec,
+                                  blk, blk_end);
             }
             WorkerPool::Slot& slot = delta_slot[h.idx][worker];
             if (!(d <= slot.value)) slot.value = d;  // NaN-capturing max
@@ -1303,141 +656,203 @@ std::vector<TimedReachabilityResult> timed_reachability_batch(
         }
         if (rows_out != nullptr) rows_out[worker]->add(swept);
       });
-      if (guard != nullptr && sweep_aborted.load(std::memory_order_relaxed)) {
-        stopped = true;
-        stop_step = g;
-        break;
-      }
-      if (any_engaged && !cert_disengaged && g > 1) {
-        std::uint64_t needed = 0;
-        for (Horizon* hp : active) {
-          const Horizon& h = *hp;
-          if (h.engaged && h.cert_ok && g < h.psi.left()) {
-            needed = std::max(needed, h.psi.left() - g);
-          }
-        }
-        while (!cert_disengaged && series.size() < needed) {
-          series.record(survival_step_dense(ops, view, pool, u_slot, u, u_next));
-          u.swap(u_next);
-          if (series.should_disengage(series.size())) {
-            cert_disengaged = true;
-            u = std::vector<double>();
-            u_next = std::vector<double>();
-          }
-        }
-      }
+    }
+    if (guard != nullptr && sweep_aborted.load(std::memory_order_relaxed)) {
+      // The sweep for step g was abandoned mid-flight: q_cur is partially
+      // written, so each partial result is the last *completed* iterate in
+      // q_next and step g counts as unconsumed.
+      stopped = true;
+      stop_step = g;
+      break;
+    }
+    // Advance the shared survival record to the deepest age any engaged
+    // horizon checks this step.  Entries are horizon-independent, so the
+    // record (and the probe-cap disengage at its tail) replays exactly
+    // what each single-t run would compute — a resumed run included.
+    if (any_engaged && !cert_disengaged && g > 1) {
+      std::uint64_t needed = 0;
       for (Horizon* hp : active) {
-        Horizon& h = *hp;
-        const double delta = WorkerPool::reduce_max(delta_slot[h.idx]);
-        if (!std::isfinite(delta)) {
-          throw NumericError("timed_reachability: non-finite update at step " +
-                             std::to_string(g) + " (NaN/Inf reached the iterate)");
+        const Horizon& h = *hp;
+        if (h.engaged && h.cert_ok && g < h.psi.left()) {
+          needed = std::max(needed, h.psi.left() - g);
         }
-        h.q_cur.swap(h.q_next);
-        h.goal_value = h.weight;
-        ++h.executed;
-        if (locking && g < h.psi.left()) {
-          for (std::vector<StateId>& c : h.cand) {
-            for (const StateId s : c) h.locked.set(s);
-            h.locked_count += c.size();
-            c.clear();
-          }
-        }
-        if (h.record_all) results[h.idx].decisions[g - 1] = bridge.expand_decisions(h.decision);
-        if (options.extract_scheduler && g == 1) {
-          results[h.idx].initial_decision = bridge.expand_decisions(h.decision);
-        }
-        if (options.early_termination && g > 1 && g - 1 < h.psi.left() &&
-            delta <= options.early_termination_delta) {
-          if (options.extract_scheduler) {
-            results[h.idx].initial_decision = bridge.expand_decisions(h.decision);
-          }
-          h.early_fired = true;
-          h.early_step = g;
-          h.done = true;
-        }
-        if (!h.done && locking && g > 1 && g <= h.psi.left() && delta == 0.0) {
-          h.fixpoint = true;
-          h.done = true;
-        }
-        if (!h.done && h.engaged && h.cert_ok && g > 1 && g < h.psi.left()) {
-          const std::uint64_t age = h.psi.left() - g;
-          if (age > series.size() || series.should_disengage(age)) {
-            h.cert_ok = false;
-          } else if (series.certifies(delta, age)) {
-            h.lyap_fired = true;
-            h.lyap_error = series.stop_error(delta, age);
-            results[h.idx].k_lyapunov = h.executed;
-            h.done = true;
-          }
+      }
+      while (!cert_disengaged && series.size() < needed) {
+        series.record(dense ? survival_step_dense(*ops, view, pool, u_slot, u, u_next)
+                            : survival_step_serial(*discrete, goal, options.avoid, pool, u_slot,
+                                                   u, u_next));
+        u.swap(u_next);
+        if (series.should_disengage(series.size())) {
+          cert_disengaged = true;
+          u = std::vector<double>();
+          u_next = std::vector<double>();
         }
       }
     }
-
-    for (Horizon& h : horizons) {
+    for (Horizon* hp : active) {
+      Horizon& h = *hp;
       TimedReachabilityResult& r = results[h.idx];
-      r.iterations_executed = h.executed;
-      r.exact_fixpoint = h.fixpoint;
-      r.locked_final = h.locked_count;
-      for (std::size_t wkr = 0; wkr < pool.size(); ++wkr) {
-        r.state_updates += upd_slots[h.idx][wkr * std::size_t{8}];
+      const double delta = WorkerPool::reduce_max(delta_slot[h.idx]);
+      if (!std::isfinite(delta)) {
+        throw NumericError("timed_reachability: non-finite update at step " + std::to_string(g) +
+                           " (NaN/Inf reached the iterate)");
       }
-      if (!h.done && stopped) {
-        r.status = guard->status();
-        r.residual_bound = partial_residual(h.psi, std::min(stop_step, h.k), h.window_epsilon);
-        std::vector<double> q_full(n, 0.0);
-        bridge.materialize(h.q_next, h.goal_value, q_full);
-        require_finite_values(q_full, "timed_reachability");
-        r.iterate = q_full;
-        r.values = std::move(q_full);
-        for (StateId s = 0; s < n; ++s) {
-          r.values[s] = goal[s] ? 1.0 : clamp01(r.values[s]);
-        }
-      } else {
-        r.residual_bound =
-            h.lyap_fired
-                ? h.window_epsilon + h.lyap_error
-                : h.window_epsilon + (h.early_fired ? options.early_termination_delta : 0.0);
-        // Finite check on the dense iterate plus the goal scalar covers every
-        // value the fused write below composes, at dense-row cost instead of
-        // full-state cost.
-        require_finite_values(h.q_next, "timed_reachability");
-        if (!std::isfinite(h.goal_value)) {
-          throw NumericError("timed_reachability: non-finite goal iterate");
-        }
-        // Fused materialize + clamp.  Every state is goal, avoided or a
-        // dense row (DenseKernel's partition), so: fill 1.0 (the clamped
-        // goal value — a vectorized store stream, and on goal-heavy models
-        // like FTWC that is nearly the whole vector), scatter the clamped
-        // dense iterate, then zero the avoided states if a mask exists.
-        // Per converged horizon this is the only full-state pass of the
-        // batch, which matters when 16 horizons finalize against a dense
-        // sweep that touched a few percent of the states.
-        r.values.assign(n, 1.0);
-        double* const out = r.values.data();
-        const std::uint32_t* const dense_state = kernel.dense_state.data();
-        const double* const dq = h.q_next.data();
-        for (std::uint64_t row = 0; row < rows; ++row) {
-          out[dense_state[row]] = clamp01(dq[row]);
-        }
-        if (!options.avoid.empty()) {
-          for (StateId s = 0; s < n; ++s) {
-            if (options.avoid[s] && !goal[s]) out[s] = 0.0;
-          }
+      h.q_cur.swap(h.q_next);  // q_next now holds q_g for the next round
+      if (dense) h.goal_value = h.weight;
+      ++h.executed;
+      if (locking && g < h.psi.left()) {
+        // Applied only after the barrier and the NaN check: candidacy was
+        // judged against the pre-sweep locked set on every worker, so the
+        // resulting set is identical for every thread count.
+        for (std::vector<StateId>& c : h.cand) {
+          for (const StateId s : c) h.locked.set(s);
+          h.locked_count += c.size();
+          c.clear();
         }
       }
-      h.q_next = std::vector<double>();
-      h.q_cur = std::vector<double>();
+      if (options.extract_scheduler && (h.record_all || g == 1)) {
+        std::vector<std::uint64_t> row = dense ? bridge->expand_decisions(h.decision) : h.decision;
+        if (g == 1) r.initial_decision = row;
+        if (h.record_all) r.decisions[g - 1] = std::move(row);
+      }
+      if (publisher != nullptr && publisher->wants_checkpoint(h.executed)) {
+        // The callback writes through the span (checkpoint persistence,
+        // fault injection), so the iterate is untrusted on return.  A
+        // non-finite entry would be silently dropped by the action
+        // comparisons above — NaN compares false both ways — leaving
+        // finite wrong values, so it must be rejected here at the trust
+        // boundary.  The writer may also have changed a locked row, whose
+        // twin buffer would then be stale: drop every lock and let
+        // candidacy re-establish them from the (possibly rewritten)
+        // iterate.
+        std::vector<double>& published = dense ? q_full : h.q_next;
+        if (dense) bridge->materialize(h.q_next, h.goal_value, q_full);
+        publisher->checkpoint("timed_reachability", h.executed, h.k,
+                              partial_residual(h.psi, g - 1, h.window_epsilon),
+                              std::span<double>(published.data(), published.size()));
+        require_finite_values(published, "timed_reachability checkpoint");
+        if (dense) h.goal_value = bridge->ingest(q_full, h.q_next);
+        if (h.locked_count != 0) {
+          h.locked.assign(rows, false);
+          h.locked_count = 0;
+        }
+      }
+      // Exact fixpoint below the window: delta == 0 means q_g and q_{g+1}
+      // are bit-identical, and with w == 0 (dense: G constant) every
+      // remaining sweep applies the same operator to the same vector —
+      // provable no-ops.  Zero extra error, so the converged residual
+      // stays untouched.
+      if (locking && g > 1 && g <= h.psi.left() && delta == 0.0) {
+        h.fixpoint = true;
+        h.done = true;
+      }
+      // Lyapunov certificate: below the window, stop once the forfeited
+      // tail delta * series_bound fits under the stop budget.  g == 1 is
+      // excluded (nothing left to skip).
+      if (!h.done && h.engaged && h.cert_ok && g > 1 && g < h.psi.left()) {
+        const std::uint64_t age = h.psi.left() - g;
+        if (age > series.size() || series.should_disengage(age)) {
+          // The record stopped at the probe cap (or this age is past it):
+          // the single-t run disengaged at exactly this point too.
+          h.cert_ok = false;
+        } else if (series.certifies(delta, age)) {
+          h.lyap_fired = true;
+          h.lyap_error = series.stop_error(delta, age);
+          r.k_lyapunov = h.executed;
+          h.done = true;
+        }
+      }
     }
-    if (span) span->metric("dense_rows", rows);
   }
+
+  for (Horizon& h : horizons) {
+    TimedReachabilityResult& r = results[h.idx];
+    r.iterations_executed = h.executed;
+    r.exact_fixpoint = h.fixpoint;
+    r.locked_final = h.locked_count;
+    for (std::size_t wkr = 0; wkr < pool.size(); ++wkr) {
+      r.state_updates += upd_slots[h.idx][wkr * std::size_t{8}];
+    }
+    const bool partial = !h.done && stopped;
+    if (partial) {
+      r.status = guard->status();
+      r.residual_bound = partial_residual(h.psi, std::min(stop_step, h.k), h.window_epsilon);
+    } else {
+      r.residual_bound = h.window_epsilon + (h.lyap_fired ? h.lyap_error : 0.0);
+    }
+    if (!dense || partial) {
+      std::vector<double> full;
+      if (dense) {
+        full.assign(n, 0.0);
+        bridge->materialize(h.q_next, h.goal_value, full);
+      } else {
+        full = std::move(h.q_next);
+      }
+      require_finite_values(full, "timed_reachability");
+      if (partial) r.iterate = full;  // full-state raw iterate, resumable by any backend
+      r.values = std::move(full);
+      for (StateId s = 0; s < n; ++s) {
+        r.values[s] = goal[s] ? 1.0 : clamp01(r.values[s]);
+      }
+    } else {
+      // Finite check on the dense iterate plus the goal scalar covers every
+      // value the fused write below composes, at dense-row cost instead of
+      // full-state cost.
+      require_finite_values(h.q_next, "timed_reachability");
+      if (!std::isfinite(h.goal_value)) {
+        throw NumericError("timed_reachability: non-finite goal iterate");
+      }
+      // Fused materialize + clamp.  Every state is goal, avoided or a
+      // dense row (DenseKernel's partition), so: fill 1.0 (the clamped
+      // goal value — a vectorized store stream, and on goal-heavy models
+      // like FTWC that is nearly the whole vector), scatter the clamped
+      // dense iterate, then zero the avoided states if a mask exists.
+      // Per converged horizon this is the only full-state pass of the
+      // batch, which matters when 16 horizons finalize against a dense
+      // sweep that touched a few percent of the states.
+      r.values.assign(n, 1.0);
+      double* const out = r.values.data();
+      const std::uint32_t* const dense_state = dkernel->dense_state.data();
+      const double* const dq = h.q_next.data();
+      for (std::uint64_t row = 0; row < rows; ++row) {
+        out[dense_state[row]] = clamp01(dq[row]);
+      }
+      if (!options.avoid.empty()) {
+        for (StateId s = 0; s < n; ++s) {
+          if (options.avoid[s] && !goal[s]) out[s] = 0.0;
+        }
+      }
+    }
+    h.q_next = std::vector<double>();
+    h.q_cur = std::vector<double>();
+  }
+
   if (span) {
+    if (dense) span->metric("dense_rows", rows);
     span->metric("states", n);
     span->metric("transitions", model.num_transitions());
     span->metric("uniform_rate", e);
+  }
+  if (span && single) {
+    const Horizon& h = horizons[0];
+    const TimedReachabilityResult& r = results[0];
+    span->metric("lambda", r.lambda);
+    span->metric("poisson_left", h.psi.left());
+    span->metric("poisson_right", h.k);
+    span->metric("poisson_width", h.k - h.psi.left() + 1);
+    span->metric("iterations_planned", h.k);
+    span->metric("iterations_executed", h.executed);
+    span->metric("threads", pool.size());
+    span->metric("residual_bound", r.residual_bound);
+    span->metric("truncation.k_fox_glynn", h.fox_glynn_right);
+    span->metric("truncation.k_effective", h.executed);
+    span->metric("truncation.k_lyapunov", r.k_lyapunov);
+    span->metric("truncation.locked_final", r.locked_final);
+    span->metric("truncation.state_updates", r.state_updates);
+  } else if (span) {
     span->metric("horizons", num_horizons);
     span->metric("iterations_planned_max", k_max);
-    span->metric("threads", pool_size);
+    span->metric("threads", pool.size());
     // Per-horizon child spans in input order, emitted after the fused loop
     // (the registry's span stack is coordinating-thread-only, so horizon
     // spans must not interleave with sweeps).
@@ -1450,7 +865,6 @@ std::vector<TimedReachabilityResult> timed_reachability_batch(
       hspan.metric("poisson_right", h.k);
       hspan.metric("iterations_planned", h.k);
       hspan.metric("iterations_executed", h.executed);
-      hspan.metric("early_termination_step", h.early_step);
       hspan.metric("residual_bound", results[j].residual_bound);
       hspan.metric("truncation.k_fox_glynn", h.fox_glynn_right);
       hspan.metric("truncation.k_effective", h.executed);
@@ -1460,6 +874,19 @@ std::vector<TimedReachabilityResult> timed_reachability_batch(
     }
   }
   return results;
+}
+
+}  // namespace
+
+TimedReachabilityResult timed_reachability(const Ctmdp& model, const BitVector& goal,
+                                           double t, const TimedReachabilityOptions& options) {
+  return std::move(solve_horizons(model, goal, {t}, options, true).front());
+}
+
+std::vector<TimedReachabilityResult> timed_reachability_batch(
+    const Ctmdp& model, const BitVector& goal, const std::vector<double>& times,
+    const TimedReachabilityOptions& options) {
+  return solve_horizons(model, goal, times, options, false);
 }
 
 TimedReachabilityResult evaluate_scheduler(const Ctmdp& model, const BitVector& goal,
@@ -1498,8 +925,6 @@ TimedReachabilityResult evaluate_scheduler(const Ctmdp& model, const BitVector& 
   RunGuard* const guard = options.guard;
   std::atomic<bool> sweep_aborted{false};
   bool stopped = false;
-  bool early_fired = false;
-  std::uint64_t early_step = 0;
   std::uint64_t executed = 0;
   unsigned pool_size = 0;
 
@@ -1572,23 +997,13 @@ TimedReachabilityResult evaluate_scheduler(const Ctmdp& model, const BitVector& 
         // by external code, so reject non-finite entries immediately.
         require_finite_values(q_next, "evaluate_scheduler checkpoint");
       }
-      // Window-bound-only gate (see timed_reachability): an interior
-      // psi == 0 cannot occur by construction, and firing on one would
-      // silently skip mass-carrying steps.
-      if (options.early_termination && i > 1 && i - 1 < psi.left() &&
-          delta <= options.early_termination_delta) {
-        early_fired = true;
-        early_step = i;
-        break;
-      }
     }
     result.iterations_executed = executed;
     if (stopped) {
       result.status = guard->status();
       result.iterate = q_next;
     } else {
-      result.residual_bound =
-          options.epsilon + (early_fired ? options.early_termination_delta : 0.0);
+      result.residual_bound = options.epsilon;
     }
     require_finite_values(q_next, "evaluate_scheduler");
     result.values = std::move(q_next);
@@ -1669,12 +1084,6 @@ TimedReachabilityResult evaluate_scheduler(const Ctmdp& model, const BitVector& 
         require_finite_values(q_full, "evaluate_scheduler checkpoint");
         goal_value = bridge.ingest(q_full, dq_next);
       }
-      if (options.early_termination && i > 1 && i - 1 < psi.left() &&
-          delta <= options.early_termination_delta) {
-        early_fired = true;
-        early_step = i;
-        break;
-      }
     }
     result.iterations_executed = executed;
     bridge.materialize(dq_next, goal_value, q_full);
@@ -1682,8 +1091,7 @@ TimedReachabilityResult evaluate_scheduler(const Ctmdp& model, const BitVector& 
       result.status = guard->status();
       result.iterate = q_full;
     } else {
-      result.residual_bound =
-          options.epsilon + (early_fired ? options.early_termination_delta : 0.0);
+      result.residual_bound = options.epsilon;
     }
     require_finite_values(q_full, "evaluate_scheduler");
     result.values = std::move(q_full);
@@ -1703,7 +1111,6 @@ TimedReachabilityResult evaluate_scheduler(const Ctmdp& model, const BitVector& 
     span->metric("poisson_width", k - psi.left() + 1);
     span->metric("iterations_planned", k);
     span->metric("iterations_executed", executed);
-    span->metric("early_termination_step", early_step);
     span->metric("threads", pool_size);
     span->metric("residual_bound", result.residual_bound);
   }

@@ -16,6 +16,12 @@
 //
 // The variant of Def. 1 (multiple transitions per action) only means the
 // maximum ranges over all emanating transitions instead of all actions.
+//
+// One engine runs the iteration: timed_reachability is a batch of one
+// horizon through the same fused sweep as timed_reachability_batch.  It
+// stops before step 1 only where the stop is certified — the Lyapunov
+// survival certificate (truncation) or an exact fixpoint below the Poisson
+// window (locking) — so residual_bound stays sound on every model.
 #pragma once
 
 #include <cstdint>
@@ -71,12 +77,6 @@ struct TimedReachabilityOptions {
   /// Sec. 10 for the exact contract.  Each backend is bit-identical to
   /// itself across all thread counts.
   Backend backend = Backend::Auto;
-  /// Stop iterating once the Poisson window is exhausted (no further psi
-  /// mass below the current step) and the value vector has converged to
-  /// within early_termination_delta in sup norm.  The faithful iteration
-  /// count k is still reported in iterations_planned.
-  bool early_termination = false;
-  double early_termination_delta = 1e-9;
   /// Record the optimal decision (transition index) per state for the first
   /// step (i = 1) — e.g. which component the optimal FTWC policy repairs
   /// first.  Also records full per-step decisions if the table stays below
@@ -86,8 +86,9 @@ struct TimedReachabilityOptions {
   /// Worker threads for the per-iteration state sweep.  0 picks
   /// hardware_concurrency, 1 is the serial path (no threads spawned).  The
   /// sweep partitions states into contiguous per-worker slices, so results
-  /// — including the early-termination delta, a max-reduction over
-  /// disjoint slices — are bit-identical for every thread count.
+  /// — including the sweep delta behind the certified stops, a
+  /// max-reduction over disjoint slices — are bit-identical for every
+  /// thread count.
   unsigned threads = 0;
   /// Optional execution control.  Polled once per value-iteration step on
   /// the coordinating thread and every ~2k states inside parallel sweeps,
@@ -96,15 +97,20 @@ struct TimedReachabilityOptions {
   /// `residual_bound` soundly bounds |reported - true| per state (see
   /// partial_residual in reachability.cpp for the derivation).  Null =
   /// unguarded; the unguarded path is bit-identical to pre-guard behaviour.
+  /// Checkpoints (RunGuard::set_checkpoint) are published only by a solve
+  /// with exactly one horizon — a timed_reachability call or a batch of
+  /// one — since only then is there a single iterate to hand over.
   RunGuard* guard = nullptr;
   /// Optional resume from a prior *partial* result of the same solve (same
   /// model, goal, t, epsilon; validated via iterations_planned and the
   /// iterate size).  Iteration continues from the saved raw iterate; an
-  /// uninterrupted and a resumed run produce bit-identical values.
+  /// uninterrupted and a resumed run produce bit-identical values,
+  /// certified stops and scheduler tables (the prior run's decision rows
+  /// are merged).  Accepted only by a one-horizon solve.
   const TimedReachabilityResult* resume = nullptr;
   /// Optional observability: a "reachability" (or "evaluate_scheduler")
   /// span with states/transitions, the Poisson window (left/right/width),
-  /// iterations planned/executed and the early-termination step, plus
+  /// iterations planned/executed and the truncation counters, plus
   /// per-worker row counters ("reachability.rows.worker<i>") batched once
   /// per sweep.  A live registry only observes — results stay bit-identical
   /// with telemetry on or off.
@@ -124,7 +130,8 @@ struct TimedReachabilityResult {
   std::vector<double> values;
   /// k — the faithful number of value-iteration steps (Table 1 column).
   std::uint64_t iterations_planned = 0;
-  /// Steps actually executed (== planned unless early termination fired).
+  /// Steps actually executed (< planned when a certified stop fired: the
+  /// Lyapunov certificate or the exact-fixpoint break).
   std::uint64_t iterations_executed = 0;
   /// Uniform rate E of the model.
   double uniform_rate = 0.0;
@@ -138,10 +145,11 @@ struct TimedReachabilityResult {
   std::vector<std::vector<std::uint64_t>> decisions;
   /// Converged, or the RunGuard budget that stopped the solve early.
   RunStatus status = RunStatus::Converged;
-  /// Sound per-state bound on |values[s] - true value|: epsilon (plus the
-  /// early-termination delta when that fired) for a Converged run; for a
-  /// partial run, the Poisson-weight displacement bound of the unfinished
-  /// backward iteration (partial_residual in reachability.cpp).
+  /// Sound per-state bound on |values[s] - true value|: the window epsilon
+  /// (plus the certified stop error when the Lyapunov certificate fired)
+  /// for a Converged run; for a partial run, the Poisson-weight
+  /// displacement bound of the unfinished backward iteration
+  /// (partial_residual in reachability.cpp).
   double residual_bound = 0.0;
   /// Resolved truncation provider (never Auto).
   Truncation truncation = Truncation::FoxGlynn;
@@ -167,28 +175,33 @@ struct TimedReachabilityResult {
 inline constexpr std::uint64_t kNoTransition = static_cast<std::uint64_t>(-1);
 
 /// Runs Algorithm 1.  Requires a uniform CTMDP (throws UniformityError
-/// otherwise) and goal.size() == num_states().
+/// otherwise) and goal.size() == num_states().  Exactly
+/// timed_reachability_batch(model, goal, {t}, options)[0], reported under
+/// its own "reachability" span.
 TimedReachabilityResult timed_reachability(const Ctmdp& model, const BitVector& goal,
                                            double t, const TimedReachabilityOptions& options = {});
 
 /// Multi-horizon Algorithm 1: one fused solve answering every time bound in
 /// @p times against the same (model, goal, options).  Results are returned
 /// in input order and each is *bit-identical* — values, residual bounds,
-/// iteration counts, scheduler tables, early-termination behaviour — to an
-/// independent `timed_reachability(model, goal, times[j], options)` call,
-/// by construction: every horizon keeps its own iterate and Poisson window
-/// and performs exactly the per-state operation sequence of its single-t
-/// run.  The horizons are fused bottom-aligned (all end at step 1
-/// together), so one pass over the shared kernel relaxes every active
-/// horizon per block — the kernel is built and streamed once per step
-/// instead of once per horizon, which is where the batch speedup comes
-/// from (DESIGN.md Sec. 11).
+/// iteration counts, scheduler tables, certified stops — to an independent
+/// `timed_reachability(model, goal, times[j], options)` call, by
+/// construction: the single-t call is this engine with one horizon, and
+/// every horizon keeps its own iterate and Poisson window and performs
+/// exactly the per-state operation sequence of its single-t run.  The
+/// horizons are fused bottom-aligned (all end at step 1 together), so one
+/// pass over the shared kernel relaxes every active horizon per block —
+/// the kernel is built and streamed once per step instead of once per
+/// horizon, which is where the batch speedup comes from (DESIGN.md
+/// Sec. 11).
 ///
 /// Guard stops produce per-horizon partial results: horizons that already
 /// finished stay Converged, the rest carry their own sound residual bound
-/// and resumable iterate.  options.resume is rejected (resume a horizon via
-/// a single-t call); guard checkpoints are not published from batch solves
-/// (there is no single iterate to publish).
+/// and resumable iterate.  A batch of exactly one horizon is the single-t
+/// solve: it accepts options.resume and publishes guard checkpoints.  With
+/// more horizons options.resume is rejected (resume the interrupted horizon
+/// on its own) and no checkpoint is published (there is no single iterate
+/// to publish).
 std::vector<TimedReachabilityResult> timed_reachability_batch(
     const Ctmdp& model, const BitVector& goal, const std::vector<double>& times,
     const TimedReachabilityOptions& options = {});

@@ -215,7 +215,6 @@ QueryResult evaluate(const Ctmdp& model, const LabelSet& labels, const Query& qu
       TimedReachabilityOptions reach;
       reach.epsilon = options.epsilon;
       reach.objective = query.objective;
-      reach.early_termination = options.early_termination;
       if (query.left != "true") reach.avoid = negate(labels.mask(query.left));
       const auto r = timed_reachability(model, goal, query.t2, reach);
       result.values = r.values;
@@ -260,7 +259,6 @@ QueryResult evaluate(const Ctmc& chain, const LabelSet& labels, const Query& que
     case Query::Kind::ProbBounded: {
       TransientOptions transient;
       transient.epsilon = options.epsilon;
-      transient.early_termination = options.early_termination;
       // left U<=t goal: states outside `left` lose — make them absorbing.
       const Ctmc constrained =
           query.left == "true" ? chain : chain.make_absorbing(negate(labels.mask(query.left)));
@@ -275,7 +273,6 @@ QueryResult evaluate(const Ctmc& chain, const LabelSet& labels, const Query& que
     case Query::Kind::ProbInterval: {
       TransientOptions transient;
       transient.epsilon = options.epsilon;
-      transient.early_termination = options.early_termination;
       auto r = interval_reachability(chain, goal, query.t1, query.t2, transient);
       result.values = std::move(r.probabilities);
       result.iterations = r.iterations_executed;

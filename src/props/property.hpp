@@ -74,7 +74,6 @@ struct QueryResult {
 
 struct EvaluationOptions {
   double epsilon = 1e-6;
-  bool early_termination = false;
 };
 
 /// Evaluates @p query on a CTMDP.  Interval and steady-state queries are

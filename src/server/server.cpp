@@ -196,8 +196,17 @@ void reject_unknown_fields(const Json& obj, const std::string& path,
 constexpr std::size_t kMaxTimesPerQuery = 10000;
 
 QueryRequest parse_query(const Json& request, const SessionOptions& options) {
+  // "early" selected the early-termination stop, removed because its bound
+  // was unsound on slowly drifting models; name the removal instead of
+  // calling the field unknown.
+  if (request.find("early") != nullptr) {
+    throw ParseError(
+        "field 'early': early termination was removed (its residual bound was unsound on "
+        "slowly drifting models); use 'truncation' (auto|fox-glynn|lyapunov) for certified "
+        "early stops");
+  }
   reject_unknown_fields(request, "",
-                        {"id", "op", "model", "times", "time", "objective", "epsilon", "early",
+                        {"id", "op", "model", "times", "time", "objective", "epsilon",
                          "backend", "truncation", "locking", "threads", "deadline",
                          "cancel_after_polls", "fault_alloc_nth", "fault_poison_step",
                          "fault_throw", "wait"});
@@ -254,7 +263,6 @@ QueryRequest parse_query(const Json& request, const SessionOptions& options) {
 
   query.epsilon = field_number(request, "", "epsilon", 1e-6);
   if (!(query.epsilon > 0.0)) throw ParseError("epsilon must be positive");
-  query.early_termination = field_bool(request, "", "early", false);
   query.backend = parse_backend(field_string(request, "", "backend", "auto"));
   query.truncation = parse_truncation(field_string(request, "", "truncation", "auto"));
   query.locking = field_bool(request, "", "locking", true);

@@ -45,11 +45,10 @@ std::string AnalysisService::solve_key_of(const QueryRequest& request) {
   char params[128];
   // %a renders epsilon exactly, so keys never merge across precisions
   // that happen to print alike in decimal.
-  std::snprintf(params, sizeof params, "\n%d|%a|%d|%s|%s|%d|%u",
+  std::snprintf(params, sizeof params, "\n%d|%a|%s|%s|%d|%u",
                 static_cast<int>(request.objective), request.epsilon,
-                request.early_termination ? 1 : 0, backend_name(request.backend),
-                truncation_name(request.truncation), request.locking ? 1 : 0,
-                request.threads);
+                backend_name(request.backend), truncation_name(request.truncation),
+                request.locking ? 1 : 0, request.threads);
   key += params;
   return content_hash(key);
 }
@@ -342,7 +341,6 @@ void AnalysisService::execute_group(Group& group) {
     if (model.is_ctmc()) {
       TransientOptions options;
       options.epsilon = lead.epsilon;
-      options.early_termination = lead.early_termination;
       options.backend = lead.backend;
       options.truncation = lead.truncation;
       options.locking = lead.locking;
@@ -362,7 +360,6 @@ void AnalysisService::execute_group(Group& group) {
       TimedReachabilityOptions options;
       options.epsilon = lead.epsilon;
       options.objective = lead.objective;
-      options.early_termination = lead.early_termination;
       options.backend = lead.backend;
       options.truncation = lead.truncation;
       options.locking = lead.locking;

@@ -8,14 +8,15 @@
 //    round-robin across the buckets, so a client flooding the queue cannot
 //    starve the others; within a bucket, FIFO.
 //  - Coalescing: when a job is dispatched, other pending jobs with the
-//    same solve key (model source + goal + objective + epsilon + early +
-//    backend + threads) are pulled into the same group — regardless of
-//    owning client — and answered by ONE timed_reachability_batch call
-//    over the concatenated time bounds.  The batch solver guarantees every
-//    horizon is bit-identical to its independent single-t solve, so
-//    coalescing is observably invisible except for latency.  Jobs carrying
-//    per-request execution control (deadline or a fault plan) never
-//    coalesce: their guard must govern exactly one request.
+//    same solve key (model source + goal + objective + epsilon + backend +
+//    truncation + locking + threads) are pulled into the same group —
+//    regardless of owning client — and answered by ONE
+//    timed_reachability_batch call over the concatenated time bounds.  The
+//    batch solver guarantees every horizon is bit-identical to its
+//    independent single-t solve, so coalescing is observably invisible
+//    except for latency.  Jobs carrying per-request execution control
+//    (deadline or a fault plan) never coalesce: their guard must govern
+//    exactly one request.
 //  - Admission control: at most max_pending jobs queue; beyond that submit
 //    answers immediately with ErrorCode::Overloaded (stable code 24).
 //  - Cancellation: cancel(client, id) removes a queued job outright
@@ -61,7 +62,6 @@ struct QueryRequest {
   std::vector<double> times;       ///< time bounds, answered in this order
   Objective objective = Objective::Maximize;
   double epsilon = 1e-6;
-  bool early_termination = false;
   Backend backend = Backend::Auto;
   /// Truncation-bound provider for the solve (part of the coalescing key:
   /// different providers may stop at different steps, so they must not

@@ -5,7 +5,7 @@
 // Variants exercised per seed (four model families):
 //  * direct uIMC      — Def.-4 audit, transform vs. brute-force oracle,
 //    Algorithm 1 vs. dense value iteration (sup and inf), serial vs.
-//    parallel bit-identity, early termination, hide_all invariance,
+//    parallel bit-identity, hide_all invariance,
 //    branching-bisimulation minimization, step-bounded vs. naive oracle,
 //    extracted scheduler <= sup, induced-CTMC cross-check, Monte-Carlo
 //    estimate inside its confidence interval;
@@ -80,7 +80,10 @@ struct DifferentialConfig {
   /// every truncation provider (fox-glynn, lyapunov, auto) with
   /// convergence locking on and off.  Locking must be observably invisible
   /// (bitwise-equal values per provider), the providers must agree within
-  /// tolerance, and every variant must match the dense oracle.  Shrinking
+  /// tolerance, and every variant must match the dense oracle.  A
+  /// slow-drift model (slow_drift_model, lambda*t = 1e5) runs the same
+  /// providers x locking grid, CTMDP and CTMC, and each answer's distance
+  /// to the oracle must lie inside its reported residual bound.  Shrinking
   /// and artifacts work as in normal mode.
   bool truncation = false;
   /// Shrink failing seeds down the config ladder.

@@ -1,6 +1,7 @@
 #include "testing/generate.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "core/time_constraint.hpp"
@@ -211,6 +212,49 @@ Ctmc random_ctmc(Rng& rng, const RandomCtmcConfig& config) {
     }
   }
   return b.build();
+}
+
+SlowDriftModel slow_drift_model(Rng& rng, const SlowDriftConfig& config) {
+  const std::size_t chain_states = std::max<std::size_t>(config.num_states, 1);
+  const StateId goal_state = static_cast<StateId>(chain_states);
+  const std::size_t n = chain_states + 1;
+  const double e = kSlowDriftUniformRate;
+  const double drift = std::pow(10.0, -13.0 + 7.0 * rng.next_double());  // 1e-13 .. 1e-6
+  const StateId exit = static_cast<StateId>(rng.next_below(chain_states));
+
+  CtmdpBuilder mdp;
+  mdp.ensure_states(n);
+  mdp.set_initial(0);
+  CtmcBuilder mc(n);
+  mc.ensure_states(n);
+  mc.set_initial(0);
+  const char* const alphabet[] = {"a", "b", "c", "d"};
+  for (StateId s = 0; s < chain_states; ++s) {
+    const unsigned fanout =
+        1u + static_cast<unsigned>(rng.next_below(std::max(config.max_transitions_per_state, 1u)));
+    for (unsigned tr = 0; tr < fanout; ++tr) {
+      const double out = s == exit ? drift * e * (0.5 + 0.5 * rng.next_double()) : 0.0;
+      const StateId to = tr == 0 ? static_cast<StateId>((s + 1) % chain_states)
+                                 : static_cast<StateId>(rng.next_below(chain_states));
+      const double step = (e - out) * (0.1 + 0.9 * rng.next_double());
+      mdp.begin_transition(s, alphabet[tr % 4]);
+      mdp.add_rate(to, step);
+      mdp.add_rate(s, e - out - step);
+      if (out > 0.0) mdp.add_rate(goal_state, out);
+      if (tr == 0) {
+        mc.add_transition(s, step, to);
+        mc.add_transition(s, e - out - step, s);
+        if (out > 0.0) mc.add_transition(s, out, goal_state);
+      }
+    }
+  }
+  mdp.begin_transition(goal_state, "stay");
+  mdp.add_rate(goal_state, e);
+  mc.add_transition(goal_state, e, goal_state);
+
+  SlowDriftModel model{mdp.build(), mc.build(), BitVector(n, false)};
+  model.goal.set(goal_state);
+  return model;
 }
 
 BitVector random_goal(Rng& rng, std::size_t num_states, double density) {

@@ -14,6 +14,8 @@
 //    construction* (Lemmas 1-3) rather than by normalization.
 //  * random_uniform_ctmdp / random_ctmc — direct random models for the
 //    solver and io layers, bypassing the transformation.
+//  * slow_drift_model — an adversarial solver shape the random families
+//    never produce: a chain that creeps toward its goal at a tiny rate.
 //
 // All generators are deterministic functions of the supplied Rng: replaying
 // a seed replays the model bit-for-bit.
@@ -131,6 +133,36 @@ struct RandomCtmcConfig {
 /// Generates a random CTMC (not necessarily uniform; exit rates vary within
 /// [min_rate, max_fanout * max_rate]).  State 0 is initial.
 Ctmc random_ctmc(Rng& rng, const RandomCtmcConfig& config = {});
+
+struct SlowDriftConfig {
+  /// Chain states; the absorbing goal is one extra (last) state.
+  std::size_t num_states = 4;
+  /// Max nondeterministic transitions per chain state (CTMDP only).
+  unsigned max_transitions_per_state = 2;
+};
+
+/// Uniform rate E of every slow-drift model.
+inline constexpr double kSlowDriftUniformRate = 2.0;
+
+struct SlowDriftModel {
+  /// Uniform at kSlowDriftUniformRate.
+  Ctmdp ctmdp;
+  /// The same chain without nondeterminism (every state's first CTMDP
+  /// transition), uniform at the same rate.
+  Ctmc chain;
+  /// The last state only.
+  BitVector goal;
+};
+
+/// Slow drift: chain states 0..n-1 and an absorbing goal n.  One chain
+/// state (the exit) leaves toward the goal at a rate drawn log-uniformly
+/// from [1e-13 E, 1e-6 E] (per transition, within a factor 2); every
+/// other rate is a self-loop or stays inside the chain, and the first
+/// transition of each state steps around a ring so every state reaches
+/// the exit.  The reachability iterate then moves by ~drift per sweep for
+/// ~E t sweeps — a stop judged on the sweep delta alone mistakes that for
+/// convergence and ends far from the truth.
+SlowDriftModel slow_drift_model(Rng& rng, const SlowDriftConfig& config = {});
 
 /// Random goal mask with roughly the given density (at least one goal
 /// state, never the initial state).

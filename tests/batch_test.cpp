@@ -86,35 +86,6 @@ TEST(BatchTest, CtmdpBatchMatchesSingleRunsBitwise) {
   }
 }
 
-TEST(BatchTest, CtmdpBatchEarlyTerminationMatchesSingle) {
-  Rng rng(0x5eedu);
-  gen::RandomCtmdpConfig config;
-  config.num_states = 24;
-  config.uniform_rate = 3.0;
-  config.absorbing_density = 0.3;
-  Ctmdp model = gen::random_uniform_ctmdp(rng, config);
-  const BitVector goal = gen::random_goal(rng, model.num_states(), 0.25);
-  const std::vector<double> times = {30.0, 6.0, 12.0, 1.0};
-
-  for (Backend backend : backends_under_test()) {
-    TimedReachabilityOptions options;
-    options.backend = backend;
-    options.threads = 2;
-    options.early_termination = true;
-    options.early_termination_delta = 1e-10;
-    options.extract_scheduler = true;
-    const auto batch = timed_reachability_batch(model, goal, times, options);
-    for (std::size_t j = 0; j < times.size(); ++j) {
-      const auto single = timed_reachability(model, goal, times[j], options);
-      SCOPED_TRACE("backend " + std::string(backend_name(backend)) + " t " +
-                   std::to_string(times[j]));
-      // Early termination must fire at the same step (shared value
-      // sequence), so even the executed counts agree exactly.
-      expect_same_result(batch[j], single);
-    }
-  }
-}
-
 TEST(BatchTest, CtmdpBatchGuardStopYieldsSoundResumablePartials) {
   Rng rng(0x90afu);
   gen::RandomCtmdpConfig config;
@@ -262,28 +233,6 @@ TEST(BatchTest, CtmcBatchMatchesSingleRunsBitwise) {
         }
       }
     }
-  }
-}
-
-TEST(BatchTest, CtmcBatchEarlyTerminationMatchesSingle) {
-  Rng rng(0xeaa1u);
-  gen::RandomCtmcConfig config;
-  config.num_states = 16;
-  config.absorbing_density = 0.3;
-  Ctmc chain = gen::random_ctmc(rng, config);
-  const BitVector goal = gen::random_goal(rng, chain.num_states(), 0.25);
-  const std::vector<double> times = {40.0, 5.0, 15.0};
-
-  TransientOptions options;
-  options.early_termination = true;
-  options.early_termination_delta = 1e-10;
-  const auto batch = timed_reachability_batch(chain, goal, times, options);
-  for (std::size_t j = 0; j < times.size(); ++j) {
-    const auto single = timed_reachability(chain, goal, times[j], options);
-    SCOPED_TRACE("t " + std::to_string(times[j]));
-    expect_bitwise(batch[j].probabilities, single.probabilities, "probabilities");
-    ASSERT_EQ(bits(batch[j].residual_bound), bits(single.residual_bound));
-    ASSERT_EQ(batch[j].iterations_executed, single.iterations_executed);
   }
 }
 

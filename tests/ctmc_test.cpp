@@ -275,28 +275,61 @@ TEST(IntervalReachability, ValidatesArguments) {
   EXPECT_THROW(interval_reachability(c, {true}, 0.0, 1.0), ModelError);
 }
 
-TEST(Transient, EarlyTerminationMatchesFullRunOnLongHorizon) {
-  const Ctmc c = two_state_chain(1.0, 2.0);
-  TransientOptions options;
-  options.epsilon = 1e-8;
-  const auto full = transient_distribution(c, 500.0, options);
-  options.early_termination = true;
-  const auto early = transient_distribution(c, 500.0, options);
-  EXPECT_LT(early.iterations_executed, full.iterations_executed);
-  EXPECT_NEAR(full.probabilities[0], early.probabilities[0], 1e-7);
-  EXPECT_NEAR(full.probabilities[1], early.probabilities[1], 1e-7);
-}
-
 TEST(TimedReachability, EarlyTerminationMatchesFullRunOnLongHorizon) {
+  // The certified Lyapunov fold is the only early stop: once the survival
+  // mass times the unaccumulated window fits the stop budget, the rest of
+  // the window is folded onto the current iterate.
   const Ctmc c = two_state_chain(0.5, 0.25);
   const std::vector<bool> goal{false, true};
   TransientOptions options;
   options.epsilon = 1e-8;
+  options.truncation = Truncation::FoxGlynn;
   const auto full = timed_reachability(c, goal, 400.0, options);
-  options.early_termination = true;
+  options.truncation = Truncation::Lyapunov;
   const auto early = timed_reachability(c, goal, 400.0, options);
   EXPECT_LT(early.iterations_executed, full.iterations_executed);
   EXPECT_NEAR(full.probabilities[0], early.probabilities[0], 1e-7);
+}
+
+/// Slowly drifting chain: state 0 leaves for the goal at rate @p r and
+/// self-loops with the rest of rate 1, so the truth is 1 - exp(-r t).
+Ctmc slow_drift_chain(double r) {
+  CtmcBuilder b(2);
+  b.ensure_states(2);
+  b.set_initial(0);
+  b.add_transition(0, r, 1);
+  b.add_transition(0, 1.0 - r, 0);
+  b.add_transition(1, 1.0, 1);
+  return b.build();
+}
+
+TEST(Truncation, CtmcSlowDriftKeepsResidualSound) {
+  // r = 9e-13 at t = 1e7 (10,015,896 uniformization steps): per step the
+  // iterate moves by ~r, which once made a delta-based stop return 9e-13
+  // against a truth of 9e-6 after one step.  Every provider, locking on
+  // and off, must report a bound that covers the truth.
+  struct Case {
+    double rate;
+    double t;
+  };
+  for (const Case& c : {Case{9e-13, 1e7}, Case{1e-7, 1e5}}) {
+    const Ctmc chain = slow_drift_chain(c.rate);
+    const std::vector<bool> goal{false, true};
+    const double truth = -std::expm1(-c.rate * c.t);
+    for (const Truncation mode : {Truncation::FoxGlynn, Truncation::Lyapunov, Truncation::Auto}) {
+      for (const bool locking : {false, true}) {
+        TransientOptions options;
+        options.truncation = mode;
+        options.locking = locking;
+        options.threads = 1;
+        const auto run = timed_reachability(chain, goal, c.t, options);
+        ASSERT_EQ(run.status, RunStatus::Converged);
+        EXPECT_LE(std::fabs(run.probabilities[0] - truth), run.residual_bound)
+            << "r=" << c.rate << " " << truncation_name(mode) << " locking=" << locking
+            << " value=" << run.probabilities[0] << " truth=" << truth;
+      }
+    }
+  }
 }
 
 TEST(TimedReachability, IterationCountEqualsPoissonRightBound) {

@@ -550,7 +550,7 @@ TEST(PipelineTelemetry, QuickstartGoldenSpanTree) {
       "    {\"name\": \"reachability\", \"seconds\": T, \"open\": false, \"metrics\": "
       "{\"states\": 14, \"transitions\": 14, \"uniform_rate\": 1.02, \"lambda\": 1.02, "
       "\"poisson_left\": 0, \"poisson_right\": 9, \"poisson_width\": 10, "
-      "\"iterations_planned\": 9, \"iterations_executed\": 9, \"early_termination_step\": 0, "
+      "\"iterations_planned\": 9, \"iterations_executed\": 9, "
       "\"threads\": 1, \"residual_bound\": 9.9999999999999995e-07, "
       "\"truncation.k_fox_glynn\": 9, \"truncation.k_effective\": 9, "
       "\"truncation.k_lyapunov\": 0, \"truncation.locked_final\": 0, "

@@ -143,13 +143,19 @@ TEST(TimedReachability, IterationCountsReported) {
   EXPECT_EQ(locked.values, r.values);
 }
 
+// The only early stops left are certified: the Lyapunov certificate and
+// the exact-fixpoint break of convergence locking.  A run that may stop
+// early must agree with the faithful k-sweep run.
 TEST(TimedReachability, EarlyTerminationMatchesFullRun) {
   const Ctmdp c = choice_model();
   const std::vector<bool> goal{false, false, true};
   TimedReachabilityOptions options;
   options.epsilon = 1e-7;
+  options.truncation = Truncation::FoxGlynn;
+  options.locking = false;
   const auto full = timed_reachability(c, goal, 50.0, options);
-  options.early_termination = true;
+  options.truncation = Truncation::Lyapunov;
+  options.locking = true;
   const auto early = timed_reachability(c, goal, 50.0, options);
   EXPECT_LE(early.iterations_executed, full.iterations_executed);
   EXPECT_NEAR(full.values[0], early.values[0], 1e-6);
@@ -157,20 +163,21 @@ TEST(TimedReachability, EarlyTerminationMatchesFullRun) {
 }
 
 TEST(TimedReachability, EarlyTerminationAgreesWithinDelta) {
-  // With a tight convergence delta the early-terminated run agrees with the
-  // full run far below the truncation precision: the residual error is the
-  // remaining Poisson mass times the converged delta.
+  // Below the Poisson window the max-policy iterate converges to a bitwise
+  // fixpoint, so the exact-fixpoint break skips the remaining sweeps at
+  // zero extra error: the values are bit-identical to the full run.
   const Ctmdp c = choice_model();
   const std::vector<bool> goal{false, false, true};
   TimedReachabilityOptions options;
   options.epsilon = 1e-9;
+  options.locking = false;
   const auto full = timed_reachability(c, goal, 80.0, options);
-  options.early_termination = true;
-  options.early_termination_delta = 1e-12;
+  options.locking = true;
   const auto early = timed_reachability(c, goal, 80.0, options);
   EXPECT_LT(early.iterations_executed, full.iterations_executed);
+  EXPECT_TRUE(early.exact_fixpoint);
   for (StateId s = 0; s < c.num_states(); ++s) {
-    EXPECT_NEAR(full.values[s], early.values[s], 1e-9) << s;
+    EXPECT_EQ(full.values[s], early.values[s]) << s;
   }
 }
 
@@ -321,37 +328,51 @@ TEST(Truncation, CtmcCertificateMatchesFoxGlynn) {
   }
 }
 
-TEST(Truncation, EarlyTerminationWithLockingKeepsResidualSound) {
-  // The three error sources — truncation epsilon, the certificate's
-  // forfeited tail and the early-termination delta — must all be covered
-  // by the reported residual_bound, with locking on.
-  const Ctmdp c = drift_model(20);
-  const BitVector goal = last_state_goal(c.num_states());
-  const double t = 400.0;
+/// Slowly drifting 2-state chain: state 0 leaves for the absorbing goal 1
+/// at rate @p r and self-loops with the rest of the uniform rate 1, so the
+/// truth is 1 - exp(-r t).  Per sweep the iterate moves by ~r, which a
+/// "stop once the sweep delta is small" rule mistakes for convergence.
+Ctmdp slow_drift_ctmdp(double r) {
+  CtmdpBuilder b;
+  b.ensure_states(2);
+  b.set_initial(0);
+  b.begin_transition(0, "drift");
+  b.add_rate(1, r);
+  b.add_rate(0, 1.0 - r);
+  b.begin_transition(1, "stay");
+  b.add_rate(1, 1.0);
+  return b.build();
+}
 
-  TimedReachabilityOptions exact;
-  exact.epsilon = 1e-12;
-  exact.truncation = Truncation::FoxGlynn;
-  exact.locking = false;
-  const auto reference = timed_reachability(c, goal, t, exact);
-
-  for (const Truncation mode : {Truncation::FoxGlynn, Truncation::Auto}) {
-    TimedReachabilityOptions options;
-    options.truncation = mode;
-    options.early_termination = true;
-    options.early_termination_delta = 1e-9;
-    const auto run = timed_reachability(c, goal, t, options);
-    ASSERT_EQ(run.status, RunStatus::Converged);
-    // The bound reports the error actually accounted for — for an engaged
-    // plan the window half plus the certified stop error, which can land
-    // below the requested epsilon — but never exceeds the total budget.
-    EXPECT_GT(run.residual_bound, 0.0) << truncation_name(mode);
-    EXPECT_LE(run.residual_bound,
-              options.epsilon + options.early_termination_delta)
-        << truncation_name(mode);
-    for (StateId s = 0; s < c.num_states(); ++s) {
-      EXPECT_LE(std::fabs(run.values[s] - reference.values[s]), run.residual_bound + 1e-12)
-          << truncation_name(mode) << " state " << s;
+TEST(Truncation, SlowDriftKeepsResidualSound) {
+  // Every reported bound must cover the distance to the truth on a model
+  // that barely moves per sweep: r = 5e-10 at t = 1e6 (1,005,030 sweeps)
+  // once made a delta-based stop return 2.5e-6 against 5.0e-4 with a bound
+  // of 5e-7.  Every provider, locking on and off, both objectives.
+  struct Case {
+    double rate;
+    double t;
+  };
+  for (const Case& c : {Case{5e-10, 1e6}, Case{1e-7, 1e5}}) {
+    const Ctmdp model = slow_drift_ctmdp(c.rate);
+    const BitVector goal = last_state_goal(2);
+    const double truth = -std::expm1(-c.rate * c.t);
+    for (const Objective objective : {Objective::Maximize, Objective::Minimize}) {
+      for (const Truncation mode :
+           {Truncation::FoxGlynn, Truncation::Lyapunov, Truncation::Auto}) {
+        for (const bool locking : {false, true}) {
+          TimedReachabilityOptions options;
+          options.objective = objective;
+          options.truncation = mode;
+          options.locking = locking;
+          options.threads = 1;
+          const auto run = timed_reachability(model, goal, c.t, options);
+          ASSERT_EQ(run.status, RunStatus::Converged);
+          EXPECT_LE(std::fabs(run.values[0] - truth), run.residual_bound)
+              << "r=" << c.rate << " " << truncation_name(mode) << " locking=" << locking
+              << " value=" << run.values[0] << " truth=" << truth;
+        }
+      }
     }
   }
 }
@@ -635,14 +656,16 @@ TEST(TimedReachability, ParallelMatchesSerialWithEarlyTermination) {
   const std::vector<bool> goal{false, false, true};
   TimedReachabilityOptions serial;
   serial.epsilon = 1e-7;
-  serial.early_termination = true;
+  serial.truncation = Truncation::Lyapunov;
   serial.threads = 1;
   TimedReachabilityOptions parallel = serial;
   parallel.threads = 3;
   const auto a = timed_reachability(c, goal, 50.0, serial);
   const auto b = timed_reachability(c, goal, 50.0, parallel);
-  // The delta is a max-reduction over disjoint slices, so the parallel run
-  // terminates on exactly the same iteration with identical values.
+  // The sweep delta behind the certified stops is a max-reduction over
+  // disjoint slices, so the parallel run stops on exactly the same
+  // iteration with identical values.
+  EXPECT_LT(a.iterations_executed, a.iterations_planned);
   EXPECT_EQ(a.iterations_executed, b.iterations_executed);
   for (StateId s = 0; s < c.num_states(); ++s) {
     EXPECT_DOUBLE_EQ(a.values[s], b.values[s]) << s;

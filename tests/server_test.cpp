@@ -618,6 +618,38 @@ TEST(SessionTest, MalformedAndUnknownInputsAnswerWithErrorObjects) {
   EXPECT_FALSE(lines[3].get_bool("cancelled", true));
 }
 
+TEST(SessionTest, RemovedEarlyFieldIsATypedParseError) {
+  // "early" selected the removed early-termination stop.  A client still
+  // sending it gets a parse error that names the removal and points to
+  // "truncation" — never a silently different (or unsound) solve.
+  const Fixture fixture = make_ctmdp_fixture(84, 12, {0.5}, Objective::Maximize);
+  Json model;
+  model.set("kind", "ctmdp");
+  model.set("source", fixture.source);
+  model.set("labels", fixture.labels);
+  for (const bool early : {true, false}) {
+    Json query;
+    query.set("id", "e1");
+    query.set("op", "query");
+    query.set("model", model);
+    JsonArray times;
+    times.push_back(Json(0.5));
+    query.set("times", Json(std::move(times)));
+    query.set("early", early);
+    AnalysisService service(ServiceOptions{.workers = 1});
+    const std::vector<Json> lines = run_jsonl(service, query.dump() + "\n");
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_FALSE(lines[0].get_bool("ok", true));
+    const Json* error = lines[0].find("error");
+    ASSERT_NE(error, nullptr);
+    EXPECT_EQ(error->get_string("code", ""), "parse");
+    const std::string message = error->get_string("message", "");
+    EXPECT_NE(message.find("early termination was removed"), std::string::npos) << message;
+    EXPECT_NE(message.find("'truncation'"), std::string::npos) << message;
+    EXPECT_EQ(service.stats().submitted, 0u);
+  }
+}
+
 TEST(SessionTest, FaultPlanFieldsRequireTheServerOptIn) {
   const Fixture fixture = make_ctmdp_fixture(83, 12, {0.5}, Objective::Maximize);
   Json model;

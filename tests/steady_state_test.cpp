@@ -59,7 +59,6 @@ TEST(SteadyState, AgreesWithLongHorizonTransient) {
   ASSERT_TRUE(pi.converged);
   TransientOptions options;
   options.epsilon = 1e-10;
-  options.early_termination = true;
   const auto late = transient_distribution(c, 500.0, options);
   for (StateId s = 0; s < 3; ++s) {
     EXPECT_NEAR(pi.distribution[s], late.probabilities[s], 1e-6) << s;

@@ -2,14 +2,13 @@
 //
 // Usage:
 //   unicon_check model <model.uni> <t> [--goal NAME] [--objective min|max]
-//                [--eps E] [--early] [--no-minimize] [--export PREFIX]
+//                [--eps E] [--no-minimize] [--export PREFIX]
 //                [--export-scheduler PATH] [common]
 //   unicon_check dft   <tree.dft> <t> [--objective min|max] [--eps E]
-//                [--early] [--no-minimize] [--export-scheduler PATH] [common]
+//                [--no-minimize] [--export-scheduler PATH] [common]
 //   unicon_check ctmdp <model.ctmdp> <goal.lab> <t> [--objective min|max]
-//                [--eps E] [--early] [--scheduler] [common]
-//   unicon_check ctmc  <model.tra>   <goal.lab> <t> [--eps E] [--early]
-//                [common]
+//                [--eps E] [--scheduler] [common]
+//   unicon_check ctmc  <model.tra>   <goal.lab> <t> [--eps E] [common]
 //
 // --min is a backward-compatible alias for --objective min.  The "dft" mode
 // parses a Galileo-format dynamic fault tree, lowers it onto the IMC
@@ -33,6 +32,10 @@
 //                      fox-glynn, or lyapunov — see DESIGN.md Sec. 14
 //   --no-locking       disable on-the-fly convergence locking (values are
 //                      bit-identical either way; this exists for A/B timing)
+//
+// --early (early termination) was removed: its stop was not certified and
+// returned values far outside the reported bound on slowly drifting
+// models.  It now fails as a usage error pointing at --truncation.
 //   --deadline S       wall-clock budget in seconds
 //   --mem-budget B     heap budget in bytes (K/M/G suffixes accepted)
 //   --json-errors      machine-readable error/partial diagnostics on stderr
@@ -128,14 +131,13 @@ struct TelemetryFlusher {
 [[noreturn]] void usage() {
   std::fprintf(stderr,
                "usage: unicon_check model <model.uni> <t> [--goal NAME] [--objective min|max] "
-               "[--eps E] [--early] [--no-minimize] [--export PREFIX] "
+               "[--eps E] [--no-minimize] [--export PREFIX] "
                "[--export-scheduler PATH] [common]\n"
                "       unicon_check dft   <tree.dft> <t> [--objective min|max] [--eps E] "
-               "[--early] [--no-minimize] [--export-scheduler PATH] [common]\n"
+               "[--no-minimize] [--export-scheduler PATH] [common]\n"
                "       unicon_check ctmdp <model.ctmdp> <goal.lab> <t> [--objective min|max] "
-               "[--eps E] [--early] [--scheduler] [common]\n"
-               "       unicon_check ctmc  <model.tra>   <goal.lab> <t> [--eps E] [--early] "
-               "[common]\n"
+               "[--eps E] [--scheduler] [common]\n"
+               "       unicon_check ctmc  <model.tra>   <goal.lab> <t> [--eps E] [common]\n"
                "common: [--times T1,T2,...] [--backend auto|serial|simd|simd-portable] "
                "[--truncation auto|fox-glynn|lyapunov] [--no-locking] "
                "[--deadline S] [--mem-budget BYTES[K|M|G]] [--json-errors] "
@@ -210,6 +212,13 @@ std::vector<double> parse_times(const char* arg) {
 /// Consumes a common flag at argv[i] (advancing i past its value) or
 /// returns false so the caller can try its mode-specific flags.
 bool parse_common_flag(int argc, char** argv, int& i, GuardFlags& flags) {
+  if (std::strcmp(argv[i], "--early") == 0) {
+    std::fprintf(stderr,
+                 "error: --early was removed: early termination's residual bound was unsound on "
+                 "slowly drifting models; use --truncation auto|fox-glynn|lyapunov for "
+                 "certified early stops\n");
+    std::exit(2);
+  }
   if (std::strcmp(argv[i], "--times") == 0 && i + 1 < argc) {
     flags.times = parse_times(argv[++i]);
     return true;
@@ -381,7 +390,7 @@ void export_scheduler_artifact(const std::string& path, const UimcAnalysisResult
 }
 
 int run_model(const std::string& path, double t, const std::string& goal_name, bool minimize_flag,
-              bool minimize, double eps, bool early, const std::string& export_prefix,
+              bool minimize, double eps, const std::string& export_prefix,
               const std::string& scheduler_path, const GuardFlags& flags) {
   Stopwatch total;
   Telemetry* const tel = telemetry_of(flags);
@@ -430,7 +439,6 @@ int run_model(const std::string& path, double t, const std::string& goal_name, b
   UimcAnalysisOptions options;
   options.reachability.epsilon = eps;
   options.reachability.objective = minimize_flag ? Objective::Minimize : Objective::Maximize;
-  options.reachability.early_termination = early;
   options.reachability.backend = flags.backend;
   options.reachability.truncation = flags.truncation;
   options.reachability.locking = flags.locking;
@@ -476,7 +484,7 @@ int run_model(const std::string& path, double t, const std::string& goal_name, b
 }
 
 int run_dft(const std::string& path, double t, bool minimize_flag, bool minimize, double eps,
-            bool early, const std::string& scheduler_path, const GuardFlags& flags) {
+            const std::string& scheduler_path, const GuardFlags& flags) {
   Stopwatch total;
   Telemetry* const tel = telemetry_of(flags);
   std::optional<Telemetry::Span> parse_span;
@@ -505,7 +513,6 @@ int run_dft(const std::string& path, double t, bool minimize_flag, bool minimize
   UimcAnalysisOptions options;
   options.reachability.epsilon = eps;
   options.reachability.objective = minimize_flag ? Objective::Minimize : Objective::Maximize;
-  options.reachability.early_termination = early;
   options.reachability.backend = flags.backend;
   options.reachability.truncation = flags.truncation;
   options.reachability.locking = flags.locking;
@@ -560,7 +567,7 @@ int main(int argc, char** argv) {
     if (argc < 4) usage();
     const std::string model_path = argv[2];
     const double t = parse_nonnegative(argv[3], "time bound <t>");
-    bool minimize_objective = false, early = false, minimize = true;
+    bool minimize_objective = false, minimize = true;
     double eps = 1e-6;
     std::string goal_name = "goal", export_prefix, scheduler_path;
     for (int i = 4; i < argc; ++i) {
@@ -570,8 +577,6 @@ int main(int argc, char** argv) {
         minimize_objective = true;
       } else if (std::strcmp(argv[i], "--objective") == 0 && i + 1 < argc) {
         minimize_objective = parse_objective_flag(argv[++i]);
-      } else if (std::strcmp(argv[i], "--early") == 0) {
-        early = true;
       } else if (std::strcmp(argv[i], "--no-minimize") == 0) {
         minimize = false;
       } else if (std::strcmp(argv[i], "--eps") == 0 && i + 1 < argc) {
@@ -590,10 +595,9 @@ int main(int argc, char** argv) {
       const auto accounting = arm_guard(flags);
       const TelemetryFlusher flusher(flags);
       if (kind == "dft") {
-        return run_dft(model_path, t, minimize_objective, minimize, eps, early, scheduler_path,
-                       flags);
+        return run_dft(model_path, t, minimize_objective, minimize, eps, scheduler_path, flags);
       }
-      return run_model(model_path, t, goal_name, minimize_objective, minimize, eps, early,
+      return run_model(model_path, t, goal_name, minimize_objective, minimize, eps,
                        export_prefix, scheduler_path, flags);
     } catch (const Error& e) {
       return report_error(e, flags);
@@ -610,7 +614,7 @@ int main(int argc, char** argv) {
   const std::string goal_path = argv[3];
   const double t = parse_nonnegative(argv[4], "time bound <t>");
 
-  bool minimize = false, early = false, scheduler = false;
+  bool minimize = false, scheduler = false;
   double eps = 1e-6;
   for (int i = 5; i < argc; ++i) {
     if (parse_common_flag(argc, argv, i, flags)) {
@@ -619,8 +623,6 @@ int main(int argc, char** argv) {
       minimize = true;
     } else if (std::strcmp(argv[i], "--objective") == 0 && i + 1 < argc) {
       minimize = parse_objective_flag(argv[++i]);
-    } else if (std::strcmp(argv[i], "--early") == 0) {
-      early = true;
     } else if (std::strcmp(argv[i], "--scheduler") == 0) {
       scheduler = true;
     } else if (std::strcmp(argv[i], "--eps") == 0 && i + 1 < argc) {
@@ -639,7 +641,6 @@ int main(int argc, char** argv) {
       TimedReachabilityOptions options;
       options.epsilon = eps;
       options.objective = minimize ? Objective::Minimize : Objective::Maximize;
-      options.early_termination = early;
       options.extract_scheduler = scheduler;
       options.backend = flags.backend;
       options.truncation = flags.truncation;
@@ -687,7 +688,6 @@ int main(int argc, char** argv) {
       const BitVector goal = load_goal(goal_path, model.num_states());
       TransientOptions options;
       options.epsilon = eps;
-      options.early_termination = early;
       options.backend = flags.backend;
       options.truncation = flags.truncation;
       options.locking = flags.locking;

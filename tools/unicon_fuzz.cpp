@@ -65,8 +65,10 @@
 //                  (fox-glynn, lyapunov, auto) with convergence locking on
 //                  and off; locking must be bitwise invisible, providers
 //                  must agree within tolerance, and every variant must match
-//                  the dense oracle; seed shrinking, --out and --self-check
-//                  work as in normal mode
+//                  the dense oracle; a slow-drift chain (exit toward the
+//                  goal <= 1e-6 E, lambda*t = 1e5) must keep every answer
+//                  within its reported residual bound of the oracle; seed
+//                  shrinking, --out and --self-check work as in normal mode
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
