@@ -43,6 +43,15 @@ class ReachabilityJson {
     out_.record(std::move(rec));
   }
 
+  /// Wall times of the pipeline stages behind one solve, as
+  ///   {"bench": "...", "build_s": ..., "transform_s": ..., "solve_s": ...}
+  void record_stages(std::string bench, double build_s, double transform_s, double solve_s) {
+    telemetry::BenchRecord rec;
+    rec.bench = std::move(bench);
+    rec.add("build_s", build_s).add("transform_s", transform_s).add("solve_s", solve_s);
+    out_.record(std::move(rec));
+  }
+
   void write() { out_.write(); }
 
  private:

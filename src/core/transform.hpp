@@ -1,8 +1,8 @@
 // The uIMC -> uCTMDP transformation (Sec. 4.1 of the paper).
 //
-// A closed IMC is normalized into a *strictly alternating* IMC in three
-// steps, each preserving the scheduler-indexed path probability measures
-// (Theorem 1):
+// The paper normalizes a closed IMC into a *strictly alternating* IMC in
+// three steps, each preserving the scheduler-indexed path probability
+// measures (Theorem 1):
 //
 //  (1) make_alternating       — hybrid states lose their Markov transitions
 //                               (urgency: in a closed system every
@@ -20,6 +20,15 @@
 // interactive states and whose transitions correspond one-to-one to the
 // (source, word, Markov state) edges; the rate function of a transition is
 // the Markov state's outgoing rate vector.
+//
+// transform_to_ctmdp does all three steps in one pass over the input IMC
+// without building the intermediate IMCs: step (1) is a state predicate,
+// step (2) numbers the pair state of the distinct Markov->Markov edge
+// (s, s') n + its rank in the sorted Markov relation, and step (3) runs on
+// flat arrays, mapping each Markov state's rate row to CTMDP ids once.
+// make_alternating and make_markov_alternating remain as the step-by-step
+// reference route (transform_to_ctmdp of their composition yields the same
+// CTMDP up to the summation order of parallel Markov edges).
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "ctmc/ctmc.hpp"
 #include "support/errors.hpp"
@@ -66,19 +67,26 @@ void CtmdpBuilder::ensure_states(std::size_t n) {
   if (n > num_states_) num_states_ = n;
 }
 
-void CtmdpBuilder::flush() {
-  if (!current_) return;
-  if (current_->entries.empty()) {
+void CtmdpBuilder::reserve(std::size_t transitions, std::size_t entries) {
+  sources_.reserve(transitions);
+  labels_.reserve(transitions);
+  first_.reserve(transitions + 1);
+  entries_.reserve(entries);
+}
+
+void CtmdpBuilder::check_current() const {
+  if (!first_.empty() && first_.back() == entries_.size()) {
     throw ModelError("Ctmdp: transition without rate entries");
   }
-  transitions_.push_back(std::move(*current_));
-  current_.reset();
 }
 
 void CtmdpBuilder::begin_transition(StateId from, WordId word) {
-  flush();
+  check_current();
   ensure_states(from + 1);
-  current_ = PendingTransition{from, word, {}};
+  sources_sorted_ = sources_sorted_ && (sources_.empty() || sources_.back() <= from);
+  sources_.push_back(from);
+  labels_.push_back(word);
+  first_.push_back(entries_.size());
 }
 
 void CtmdpBuilder::begin_transition(StateId from, std::string_view action) {
@@ -86,64 +94,97 @@ void CtmdpBuilder::begin_transition(StateId from, std::string_view action) {
 }
 
 void CtmdpBuilder::add_rate(StateId to, double rate) {
-  if (!current_) throw ModelError("Ctmdp: add_rate before begin_transition");
+  if (first_.empty()) throw ModelError("Ctmdp: add_rate before begin_transition");
   if (!(rate > 0.0) || !std::isfinite(rate)) {
     throw ModelError("Ctmdp: rate must be positive and finite");
   }
   ensure_states(to + 1);
-  current_->entries.push_back(SparseEntry{to, rate});
+  entries_.push_back(SparseEntry{to, rate});
 }
 
 Ctmdp CtmdpBuilder::build() {
-  flush();
+  check_current();
   if (num_states_ == 0) throw ModelError("Ctmdp: at least one state required");
   if (initial_ >= num_states_) throw ModelError("Ctmdp: initial state out of range");
 
-  std::stable_sort(transitions_.begin(), transitions_.end(),
-                   [](const PendingTransition& a, const PendingTransition& b) {
-                     return a.from < b.from;
-                   });
+  const std::size_t num_transitions = sources_.size();
+  first_.push_back(entries_.size());
+  if (!sources_sorted_) {
+    // Group the transitions by source, keeping insertion order within one.
+    std::vector<std::uint64_t> order(num_transitions);
+    std::iota(order.begin(), order.end(), std::uint64_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](std::uint64_t a, std::uint64_t b) {
+      return sources_[a] < sources_[b];
+    });
+    std::vector<StateId> sources;
+    std::vector<WordId> labels;
+    std::vector<std::uint64_t> first;
+    std::vector<SparseEntry> entries;
+    sources.reserve(num_transitions);
+    labels.reserve(num_transitions);
+    first.reserve(num_transitions + 1);
+    entries.reserve(entries_.size());
+    for (const std::uint64_t t : order) {
+      sources.push_back(sources_[t]);
+      labels.push_back(labels_[t]);
+      first.push_back(entries.size());
+      entries.insert(entries.end(), entries_.begin() + static_cast<std::ptrdiff_t>(first_[t]),
+                     entries_.begin() + static_cast<std::ptrdiff_t>(first_[t + 1]));
+    }
+    first.push_back(entries.size());
+    sources_ = std::move(sources);
+    labels_ = std::move(labels);
+    first_ = std::move(first);
+    entries_ = std::move(entries);
+  }
 
   Ctmdp c;
   c.actions_ = actions_;
   c.words_ = words_;
   c.initial_ = initial_;
   c.state_row_.assign(num_states_ + 1, 0);
-  c.source_.reserve(transitions_.size());
-  c.labels_.reserve(transitions_.size());
-  c.trans_row_.reserve(transitions_.size() + 1);
-  c.trans_row_.push_back(0);
-  c.exit_.reserve(transitions_.size());
+  for (StateId s : sources_) ++c.state_row_[s + 1];
+  for (std::size_t s = 0; s < num_states_; ++s) c.state_row_[s + 1] += c.state_row_[s];
+  c.exit_.reserve(num_transitions);
 
-  std::size_t ti = 0;
-  for (StateId s = 0; s < num_states_; ++s) {
-    c.state_row_[s] = c.labels_.size();
-    while (ti < transitions_.size() && transitions_[ti].from == s) {
-      PendingTransition& p = transitions_[ti++];
-      // Merge duplicate targets within one rate function.
-      std::sort(p.entries.begin(), p.entries.end(),
-                [](const SparseEntry& a, const SparseEntry& b) { return a.col < b.col; });
-      double exit = 0.0;
-      const std::size_t first = c.entries_.size();
-      for (const SparseEntry& e : p.entries) {
-        if (c.entries_.size() > first && c.entries_.back().col == e.col) {
-          c.entries_.back().value += e.value;
-        } else {
-          c.entries_.push_back(e);
-        }
-        exit += e.value;
+  // Sort and merge every rate function in place: the merged entries of
+  // transition t never extend past its unmerged range, so first_ becomes
+  // the transition row index as it is overwritten.
+  std::size_t out = 0;
+  for (std::size_t t = 0; t < num_transitions; ++t) {
+    const auto begin = entries_.begin() + static_cast<std::ptrdiff_t>(first_[t]);
+    const auto end = entries_.begin() + static_cast<std::ptrdiff_t>(first_[t + 1]);
+    std::sort(begin, end,
+              [](const SparseEntry& a, const SparseEntry& b) { return a.col < b.col; });
+    const std::size_t row = out;
+    double exit = 0.0;
+    for (auto it = begin; it != end; ++it) {
+      const SparseEntry e = *it;
+      if (out > row && entries_[out - 1].col == e.col) {
+        entries_[out - 1].value += e.value;
+      } else {
+        entries_[out++] = e;
       }
-      c.source_.push_back(p.from);
-      c.labels_.push_back(p.word);
-      c.trans_row_.push_back(c.entries_.size());
-      c.exit_.push_back(exit);
+      exit += e.value;
     }
+    first_[t] = row;
+    c.exit_.push_back(exit);
   }
-  c.state_row_[num_states_] = c.labels_.size();
+  first_[num_transitions] = out;
+  entries_.resize(out);
+
+  c.source_ = std::move(sources_);
+  c.labels_ = std::move(labels_);
+  c.trans_row_ = std::move(first_);
+  c.entries_ = std::move(entries_);
 
   num_states_ = 0;
   initial_ = 0;
-  transitions_.clear();
+  sources_.clear();
+  labels_.clear();
+  first_.clear();
+  entries_.clear();
+  sources_sorted_ = true;
   return c;
 }
 

@@ -98,6 +98,8 @@ Ctmdp ctmdp_from_ctmc(const Ctmc& chain);
 
 /// Builder: transitions are added one at a time; entries of the current
 /// transition are accumulated until the next begin_transition/build call.
+/// Storage is flat (one array per field, entries of all transitions in one
+/// array), so adding a transition allocates nothing of its own.
 class CtmdpBuilder {
  public:
   CtmdpBuilder(std::shared_ptr<ActionTable> actions = nullptr,
@@ -106,6 +108,9 @@ class CtmdpBuilder {
   StateId add_state();
   void ensure_states(std::size_t n);
   void set_initial(StateId s) { initial_ = s; }
+  /// Preallocates room for @p transitions transitions with @p entries rate
+  /// entries in total (an optimization only: the arrays grow as needed).
+  void reserve(std::size_t transitions, std::size_t entries);
 
   /// Starts a new transition (s, word, .).
   void begin_transition(StateId from, WordId word);
@@ -121,23 +126,24 @@ class CtmdpBuilder {
   const std::shared_ptr<ActionTable>& action_table() const { return actions_; }
   const std::shared_ptr<WordTable>& word_table() const { return words_; }
 
+  /// Groups the transitions by source (stable: insertion order within a
+  /// source), sorts each rate function by target, merges duplicate targets
+  /// and sums the exit rate over the unmerged sorted entries.
   Ctmdp build();
 
  private:
-  struct PendingTransition {
-    StateId from;
-    WordId word;
-    std::vector<SparseEntry> entries;
-  };
-
-  void flush();
+  /// Rejects an open transition without rate entries.
+  void check_current() const;
 
   std::shared_ptr<ActionTable> actions_;
   std::shared_ptr<WordTable> words_;
   std::size_t num_states_ = 0;
   StateId initial_ = 0;
-  std::vector<PendingTransition> transitions_;
-  std::optional<PendingTransition> current_;
+  std::vector<StateId> sources_;          // per transition
+  std::vector<WordId> labels_;            // per transition
+  std::vector<std::uint64_t> first_;      // per transition: first entry index
+  std::vector<SparseEntry> entries_;      // all transitions, in insertion order
+  bool sources_sorted_ = true;            // sources_ is non-decreasing
 };
 
 }  // namespace unicon

@@ -1,8 +1,15 @@
 #include "support/telemetry.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstdlib>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <utility>
+
+#include "support/errors.hpp"
+#include "support/json.hpp"
 
 namespace unicon {
 
@@ -23,6 +30,22 @@ std::string render_double(double value) {
 std::string render_seconds(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%.9f", value);
+  return buffer;
+}
+
+/// Shortest rendering that reads back as @p value, so a record kept from an
+/// existing file is rewritten as it was written (0.000442 stays 0.000442,
+/// 20000 stays 20000).
+std::string render_shortest(double value) {
+  char buffer[32];
+  if (value == std::floor(value) && std::fabs(value) < 9007199254740992.0) {
+    std::snprintf(buffer, sizeof buffer, "%.0f", value);
+    return buffer;
+  }
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(buffer, sizeof buffer, "%.*g", precision, value);
+    if (std::strtod(buffer, nullptr) == value) break;
+  }
   return buffer;
 }
 
@@ -258,23 +281,70 @@ BenchJson::BenchJson(std::string default_path, const char* env_override) {
 
 void BenchJson::write() {
   if (records_.empty()) return;
+
+  // Merge by bench key: this run's records replace the file's records with
+  // the same key (in the place of the first of them), the file's other
+  // records are kept, and records with new keys are appended.
+  std::set<std::string> keys;
+  for (const BenchRecord& r : records_) keys.insert(r.bench);
+  std::vector<BenchRecord> merged;
+  std::set<std::string> placed;
+  auto place = [&](const std::string& key) {
+    if (!placed.insert(key).second) return;
+    for (const BenchRecord& r : records_) {
+      if (r.bench == key) merged.push_back(r);
+    }
+  };
+  std::size_t kept = 0;
+  if (std::ifstream in(path_); in) {
+    std::ostringstream text;
+    text << in.rdbuf();
+    try {
+      const Json file = Json::parse(text.str());
+      for (const Json& entry : file.as_array()) {
+        const Json* bench = entry.find("bench");
+        if (bench == nullptr) throw ParseError("record without a \"bench\" key");
+        if (keys.count(bench->as_string()) != 0) {
+          place(bench->as_string());
+          continue;
+        }
+        BenchRecord r;
+        r.bench = bench->as_string();
+        for (const auto& [key, value] : entry.as_object()) {
+          if (key == "bench") continue;
+          r.metrics.emplace_back(key, value.is_number() ? render_shortest(value.as_number())
+                                                        : value.dump());
+        }
+        merged.push_back(std::move(r));
+        ++kept;
+      }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "warning: replacing unreadable %s (%s)\n", path_.c_str(), e.what());
+      merged.clear();
+      placed.clear();
+      kept = 0;
+    }
+  }
+  for (const BenchRecord& r : records_) place(r.bench);
+
   std::FILE* f = std::fopen(path_.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "warning: cannot write %s\n", path_.c_str());
     return;
   }
   std::fprintf(f, "[\n");
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const BenchRecord& r = records_[i];
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    const BenchRecord& r = merged[i];
     std::fprintf(f, "  {\"bench\": \"%s\"", json_escape(r.bench).c_str());
     for (const auto& [key, rendered] : r.metrics) {
       std::fprintf(f, ", \"%s\": %s", json_escape(key).c_str(), rendered.c_str());
     }
-    std::fprintf(f, "}%s\n", i + 1 < records_.size() ? "," : "");
+    std::fprintf(f, "}%s\n", i + 1 < merged.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
   std::fclose(f);
-  std::printf("wrote %zu records to %s\n", records_.size(), path_.c_str());
+  std::printf("wrote %zu records to %s (%zu other records kept)\n", records_.size(),
+              path_.c_str(), kept);
   records_.clear();
 }
 

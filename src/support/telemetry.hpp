@@ -230,7 +230,11 @@ struct BenchRecord {
 /// writes them as a JSON array on write() (or destruction).  Schema shared
 /// by all harnesses (keys documented in README "Benchmarks"):
 ///   [{"bench": "<harness/case>", "<metric>": <number>, ...}, ...]
-/// Integers are emitted as integers, seconds with 6 decimals.  When
+/// Integers are emitted as integers, seconds with 6 decimals.  write()
+/// merges into the file by "bench" key: a new record replaces the file's
+/// records with its key, the file's other records are kept, so several
+/// harnesses can share one file.  A file that does not parse is replaced
+/// (with a warning on stderr).  When
 /// @p env_override names an environment variable and it is set non-empty,
 /// its value replaces the default path.
 class BenchJson {
@@ -243,7 +247,8 @@ class BenchJson {
 
   void record(BenchRecord r) { records_.push_back(std::move(r)); }
 
-  /// Writes and clears the collected records; no-op when empty.
+  /// Merges the collected records into the file and clears them; no-op
+  /// when empty.
   void write();
 
   const std::string& path() const { return path_; }

@@ -156,6 +156,64 @@ TEST(Ctmdp, TransitionsGroupedBySource) {
   for (std::uint64_t t = first; t < last; ++t) EXPECT_EQ(c.source(t), 2u);
 }
 
+TEST(Ctmdp, OutOfOrderSourcesKeepInsertionOrderWithinASource) {
+  CtmdpBuilder b;
+  b.ensure_states(3);
+  const std::pair<StateId, const char*> added[] = {{2, "a"}, {0, "b"}, {2, "c"}, {1, "d"},
+                                                   {0, "e"}, {2, "f"}};
+  double rate = 1.0;
+  for (const auto& [source, action] : added) {
+    b.begin_transition(source, action);
+    b.add_rate(0, rate);
+    b.add_rate(2, 0.5 * rate);
+    rate += 1.0;
+  }
+  const Ctmdp c = b.build();
+  // Grouped by source; within a source in insertion order, each with its
+  // own rate function.
+  const std::pair<const char*, double> expected[] = {{"b", 2.0}, {"e", 5.0}, {"d", 4.0},
+                                                     {"a", 1.0}, {"c", 3.0}, {"f", 6.0}};
+  const StateId expected_source[] = {0, 0, 1, 2, 2, 2};
+  ASSERT_EQ(c.num_transitions(), std::size(expected));
+  for (std::uint64_t t = 0; t < c.num_transitions(); ++t) {
+    EXPECT_EQ(c.source(t), expected_source[t]);
+    EXPECT_EQ(c.words().str(c.label(t), c.actions()), expected[t].first);
+    ASSERT_EQ(c.rates(t).size(), 2u);
+    EXPECT_EQ(c.rates(t)[0].col, 0u);
+    EXPECT_EQ(c.rates(t)[0].value, expected[t].second);
+    EXPECT_EQ(c.rates(t)[1].col, 2u);
+    EXPECT_EQ(c.rates(t)[1].value, 0.5 * expected[t].second);
+    EXPECT_EQ(c.exit_rate(t), 1.5 * expected[t].second);
+  }
+  EXPECT_EQ(c.transition_range(0), std::make_pair(std::uint64_t{0}, std::uint64_t{2}));
+  EXPECT_EQ(c.transition_range(1), std::make_pair(std::uint64_t{2}, std::uint64_t{3}));
+  EXPECT_EQ(c.transition_range(2), std::make_pair(std::uint64_t{3}, std::uint64_t{6}));
+}
+
+TEST(Ctmdp, ExitRateSumsTheUnmergedSortedEntries) {
+  // Sorted by target the entries are 1.0, 1e-16, 1e-16.  Summed one by one
+  // each tiny entry rounds away; summed after merging they do not.
+  CtmdpBuilder b;
+  b.ensure_states(2);
+  b.begin_transition(1, "late");
+  b.add_rate(0, 1.0);
+  b.begin_transition(0, "a");
+  b.add_rate(1, 1e-16);
+  b.add_rate(0, 1.0);
+  b.add_rate(1, 1e-16);
+  const Ctmdp c = b.build();
+  ASSERT_EQ(c.num_transitions(), 2u);
+  EXPECT_EQ(c.words().str(c.label(0), c.actions()), "a");
+  ASSERT_EQ(c.rates(0).size(), 2u);
+  EXPECT_EQ(c.rates(0)[0].col, 0u);
+  EXPECT_EQ(c.rates(0)[0].value, 1.0);
+  EXPECT_EQ(c.rates(0)[1].col, 1u);
+  EXPECT_EQ(c.rates(0)[1].value, 2e-16);
+  EXPECT_EQ(c.exit_rate(0), 1.0);
+  EXPECT_NE(c.rates(0)[0].value + c.rates(0)[1].value, 1.0);
+  EXPECT_EQ(c.exit_rate(1), 1.0);
+}
+
 TEST(Ctmdp, BadInitialRejected) {
   CtmdpBuilder b;
   b.ensure_states(1);

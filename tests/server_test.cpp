@@ -178,6 +178,43 @@ void wait_for_batches(AnalysisService& service, std::uint64_t batches) {
   FAIL() << "service never dispatched batch " << batches;
 }
 
+/// Holds the worker of a one-worker service until release(): a blocker at
+/// lambda * t = 3e8 without locking or a certified stop has hundreds of
+/// millions of sweeps to go, so jobs submitted behind it stay queued however
+/// the threads are scheduled.  release() cancels it; it answers Cancelled.
+class WorkerHold {
+ public:
+  explicit WorkerHold(AnalysisService& service) : service_(service) {
+    QueryRequest blocker = make_blocker("zz", "blocker");
+    blocker.times = {1e8};
+    blocker.epsilon = 1e-6;
+    blocker.truncation = Truncation::FoxGlynn;
+    blocker.locking = false;
+    service_.submit(std::move(blocker),
+                    [this](QueryResponse r) { done_.set_value(std::move(r)); });
+    wait_for_batches(service_, 1);
+  }
+
+  WorkerHold(const WorkerHold&) = delete;
+  WorkerHold& operator=(const WorkerHold&) = delete;
+  // A test that stops early (failed ASSERT) must not leave the service's
+  // destructor joining a worker that never finishes.
+  ~WorkerHold() {
+    if (!released_) release();
+  }
+
+  void release() {
+    released_ = true;
+    EXPECT_TRUE(service_.cancel("zz", "blocker"));
+    EXPECT_EQ(done_.get_future().get().error, ErrorCode::Cancelled);
+  }
+
+ private:
+  AnalysisService& service_;
+  std::promise<QueryResponse> done_;
+  bool released_ = false;
+};
+
 TEST(ServerTest, QueryMatchesDirectSolveBitwise) {
   const Fixture sup = make_ctmdp_fixture(11, 24, {0.5, 1.5, 3.0}, Objective::Maximize);
   const Fixture inf = make_ctmdp_fixture(11, 24, {0.5, 1.5, 3.0}, Objective::Minimize);
@@ -306,10 +343,7 @@ TEST(ServerTest, ConcurrentStressMixedModelsCancellationsAndFaults) {
 TEST(ServerTest, CancelQueuedJobsAnswersImmediately) {
   AnalysisService service(ServiceOptions{.workers = 1});
 
-  std::promise<void> blocker_done;
-  service.submit(make_blocker("zz", "blocker"),
-                 [&](QueryResponse) { blocker_done.set_value(); });
-  wait_for_batches(service, 1);
+  WorkerHold hold(service);
 
   const Fixture fixture = make_ctmdp_fixture(31, 16, {1.0}, Objective::Maximize);
   std::vector<std::future<QueryResponse>> answers;
@@ -332,16 +366,13 @@ TEST(ServerTest, CancelQueuedJobsAnswersImmediately) {
   EXPECT_FALSE(service.cancel("a", "0"));        // already answered
   EXPECT_FALSE(service.cancel("a", "nosuch"));   // never submitted
   EXPECT_GE(service.stats().cancelled, 5u);
-  blocker_done.get_future().wait();
+  hold.release();
 }
 
 TEST(ServerTest, CoalescingAnswersEveryMemberBitwiseIdentically) {
   AnalysisService service(ServiceOptions{.workers = 1, .max_batch = 16});
 
-  std::promise<void> blocker_done;
-  service.submit(make_blocker("zz", "blocker"),
-                 [&](QueryResponse) { blocker_done.set_value(); });
-  wait_for_batches(service, 1);
+  WorkerHold hold(service);
 
   // Four clients, identical query -> one solve key -> one batch group.
   const Fixture fixture = make_ctmdp_fixture(41, 28, {0.5, 1.5}, Objective::Maximize);
@@ -353,12 +384,12 @@ TEST(ServerTest, CoalescingAnswersEveryMemberBitwiseIdentically) {
     service.submit(request_for(fixture, "client-" + std::to_string(m), "q"),
                    [promise](QueryResponse r) { promise->set_value(std::move(r)); });
   }
+  hold.release();
   for (auto& answer : answers) {
     const QueryResponse response = answer.get();
     EXPECT_EQ(response.batched_with, kMembers);
     expect_matches_fixture(response, fixture);
   }
-  blocker_done.get_future().wait();
 
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.batches, 2u);  // blocker + the coalesced group
@@ -396,10 +427,7 @@ TEST(ServerTest, FaultPlansNeverCoalesceAndDeadlinesStopTheirOwnSolve) {
 TEST(ServerTest, FairShareAlternatesAcrossClients) {
   AnalysisService service(ServiceOptions{.workers = 1});
 
-  std::promise<void> blocker_done;
-  service.submit(make_blocker("zz", "blocker"),
-                 [&](QueryResponse) { blocker_done.set_value(); });
-  wait_for_batches(service, 1);
+  WorkerHold hold(service);
 
   // Client a floods 3 jobs before client b's 3; with per-client buckets the
   // dispatch order must still alternate a, b, a, b, a, b.  Distinct epsilon
@@ -421,8 +449,8 @@ TEST(ServerTest, FairShareAlternatesAcrossClients) {
       promise->set_value();
     });
   }
+  hold.release();
   for (auto& d : done) d.wait();
-  blocker_done.get_future().wait();
   ASSERT_EQ(order.size(), 6u);
   EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "a", "b", "a", "b"}));
 }
@@ -430,10 +458,7 @@ TEST(ServerTest, FairShareAlternatesAcrossClients) {
 TEST(ServerTest, AdmissionControlRejectsWithOverloaded) {
   AnalysisService service(ServiceOptions{.workers = 1, .max_pending = 2});
 
-  std::promise<void> blocker_done;
-  service.submit(make_blocker("zz", "blocker"),
-                 [&](QueryResponse) { blocker_done.set_value(); });
-  wait_for_batches(service, 1);
+  WorkerHold hold(service);
 
   const Fixture fixture = make_ctmdp_fixture(71, 14, {1.0}, Objective::Maximize);
   std::vector<std::future<QueryResponse>> queued;
@@ -457,8 +482,8 @@ TEST(ServerTest, AdmissionControlRejectsWithOverloaded) {
   EXPECT_EQ(rejected.error, ErrorCode::Overloaded);
   EXPECT_EQ(static_cast<int>(rejected.error), 24);
 
+  hold.release();
   for (auto& q : queued) EXPECT_EQ(q.get().error, ErrorCode::Ok);
-  blocker_done.get_future().wait();
   EXPECT_EQ(service.stats().rejected, 1u);
 }
 
@@ -764,10 +789,7 @@ TEST(ServerTest, AllocFaultNeverFailsAConcurrentCleanRequest) {
 TEST(ServerTest, OverloadedResponsesCarryABoundedRetryHint) {
   AnalysisService service(ServiceOptions{.workers = 1, .max_pending = 2});
 
-  std::promise<void> blocker_done;
-  service.submit(make_blocker("zz", "blocker"),
-                 [&](QueryResponse) { blocker_done.set_value(); });
-  wait_for_batches(service, 1);
+  WorkerHold hold(service);
 
   const Fixture fixture = make_ctmdp_fixture(97, 14, {1.0}, Objective::Maximize);
   std::vector<std::future<QueryResponse>> queued;
@@ -787,8 +809,8 @@ TEST(ServerTest, OverloadedResponsesCarryABoundedRetryHint) {
   EXPECT_GE(rejected.retry_after_ms, 100u);
   EXPECT_LE(rejected.retry_after_ms, 60000u);
 
+  hold.release();
   for (auto& q : queued) EXPECT_EQ(q.get().error, ErrorCode::Ok);
-  blocker_done.get_future().wait();
 }
 
 TEST(ServerTest, DrainRefusesNewWorkAndFinishesInFlight) {
@@ -831,10 +853,7 @@ TEST(ServerTest, DrainRefusesNewWorkAndFinishesInFlight) {
 TEST(ServerTest, FaultPlanRidesAloneWhileIdenticalCleanPairCoalesces) {
   AnalysisService service(ServiceOptions{.workers = 1, .max_batch = 16});
 
-  std::promise<void> blocker_done;
-  service.submit(make_blocker("zz", "blocker"),
-                 [&](QueryResponse) { blocker_done.set_value(); });
-  wait_for_batches(service, 1);
+  WorkerHold hold(service);
 
   // Three requests with the *same* solve key queued behind the blocker:
   // two clean (distinct clients) and one carrying a fault plan whose
@@ -855,6 +874,7 @@ TEST(ServerTest, FaultPlanRidesAloneWhileIdenticalCleanPairCoalesces) {
   service.submit(std::move(faulty),
                  [fault_promise](QueryResponse r) { fault_promise->set_value(std::move(r)); });
 
+  hold.release();
   for (auto& answer : answers) {
     const QueryResponse response = answer.get();
     EXPECT_EQ(response.batched_with, 2u);  // the clean pair shared one solve
@@ -863,7 +883,6 @@ TEST(ServerTest, FaultPlanRidesAloneWhileIdenticalCleanPairCoalesces) {
   const QueryResponse fault_response = fault_answer.get();
   EXPECT_EQ(fault_response.batched_with, 1u);  // the fault plan rode alone
   expect_matches_fixture(fault_response, fixture);
-  blocker_done.get_future().wait();
   EXPECT_EQ(service.stats().coalesced, 1u);
 }
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <regex>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -219,6 +221,66 @@ TEST(TelemetryBench, RecordRendersIntegersAsIntegers) {
   EXPECT_EQ(r.metrics[0].second, "12");
   EXPECT_EQ(r.metrics[1].second, "0.125000");
   EXPECT_EQ(r.metrics[2].second, "9");
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+telemetry::BenchRecord bench_record(std::string bench, std::string key, double value) {
+  telemetry::BenchRecord r;
+  r.bench = std::move(bench);
+  r.add(std::move(key), value);
+  return r;
+}
+
+TEST(TelemetryBench, WriteMergesByBenchKey) {
+  const std::string path = ::testing::TempDir() + "telemetry_bench_merge.json";
+  std::remove(path.c_str());
+  {
+    telemetry::BenchJson first(path);
+    telemetry::BenchRecord x1;
+    x1.bench = "x/1";
+    x1.add("states", 20000u).add("seconds", 0.000442);
+    first.record(std::move(x1));
+    first.record(bench_record("y/1", "seconds", 1.0));
+    first.record(bench_record("x/2", "seconds", 0.25));
+  }
+  {
+    // A second harness replaces y/1 in place, keeps the other records and
+    // appends its new key.
+    telemetry::BenchJson second(path);
+    telemetry::BenchRecord y1;
+    y1.bench = "y/1";
+    y1.add("states", 7u).add("seconds", 2.5);
+    second.record(std::move(y1));
+    second.record(bench_record("z/1", "seconds", 0.125));
+  }
+  EXPECT_EQ(read_file(path),
+            "[\n"
+            "  {\"bench\": \"x/1\", \"states\": 20000, \"seconds\": 0.000442},\n"
+            "  {\"bench\": \"y/1\", \"states\": 7, \"seconds\": 2.500000},\n"
+            "  {\"bench\": \"x/2\", \"seconds\": 0.25},\n"
+            "  {\"bench\": \"z/1\", \"seconds\": 0.125000}\n"
+            "]\n");
+  std::remove(path.c_str());
+}
+
+TEST(TelemetryBench, UnreadableFileIsReplaced) {
+  const std::string path = ::testing::TempDir() + "telemetry_bench_unreadable.json";
+  {
+    std::ofstream out(path);
+    out << "[{\"bench\": \"old\", \"seconds\": 1.0},";  // truncated
+  }
+  {
+    telemetry::BenchJson json(path);
+    json.record(bench_record("new", "seconds", 0.5));
+  }
+  EXPECT_EQ(read_file(path), "[\n  {\"bench\": \"new\", \"seconds\": 0.500000}\n]\n");
+  std::remove(path.c_str());
 }
 
 // ----------------------------------------------------------- determinism
