@@ -88,6 +88,10 @@ Measurement run_ctmdp(const Ctmdp& model, const BitVector& goal, double t,
   TimedReachabilityOptions options;
   options.truncation = variant.truncation;
   options.locking = variant.locking;
+  // The FTWC rows measure what locking saves by freezing the goal region,
+  // which only the serial engine sweeps: the default dense kernel folds
+  // the goal states into one scalar and never relaxes their rows.
+  options.backend = Backend::Serial;
   Stopwatch timer;
   const TimedReachabilityResult r = timed_reachability(model, goal, t, options);
   Measurement m;

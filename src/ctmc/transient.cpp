@@ -285,7 +285,8 @@ TransientResult transient_distribution(const Ctmc& chain, double t,
   const double e = pick_rate(chain, options);
   const PoissonWindow psi = PoissonWindow::compute(e * t, options.epsilon);
   const JumpKernel p(chain, e);
-  const KernelOps* const ops = JumpKernel::ops_for(resolve_backend(options.backend));
+  const KernelOps* const ops =
+      JumpKernel::ops_for(resolve_backend(options.backend, Backend::Serial));
   WorkerPool pool = make_worker_pool(options.threads, n);
   const std::vector<Counter*> row_counters = worker_row_counters(options.telemetry, pool.size());
   Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
@@ -384,7 +385,8 @@ std::vector<TransientResult> solve_horizons(const Ctmc& chain, const BitVector& 
   const std::size_t n = absorbing.num_states();
   const double e = pick_rate(absorbing, options);
   const JumpKernel p(absorbing, e);
-  const KernelOps* const ops = JumpKernel::ops_for(resolve_backend(options.backend));
+  const KernelOps* const ops =
+      JumpKernel::ops_for(resolve_backend(options.backend, Backend::Serial));
   WorkerPool pool = make_worker_pool(options.threads, n);
   const std::vector<Counter*> row_counters = worker_row_counters(options.telemetry, pool.size());
   Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();
@@ -701,7 +703,8 @@ TransientResult interval_reachability(const Ctmc& chain, const BitVector& goal,
   const double e = pick_rate(chain, options);
   const PoissonWindow psi = PoissonWindow::compute(e * t1, options.epsilon);
   const JumpKernel p(chain, e);
-  const KernelOps* const ops = JumpKernel::ops_for(resolve_backend(options.backend));
+  const KernelOps* const ops =
+      JumpKernel::ops_for(resolve_backend(options.backend, Backend::Serial));
   WorkerPool pool = make_worker_pool(options.threads, n);
   const std::vector<Counter*> row_counters = worker_row_counters(options.telemetry, pool.size());
   Counter* const* const rows_out = row_counters.empty() ? nullptr : row_counters.data();

@@ -53,7 +53,8 @@ struct TransientOptions {
   /// accumulation order per state.
   unsigned threads = 0;
   /// Compute backend for the matrix sweeps.  Auto resolves via
-  /// UNICON_BACKEND (else Serial).  Serial keeps the historical sequential
+  /// UNICON_BACKEND (else Serial: without goal folding the Simd gather
+  /// measured no faster here).  Serial keeps the historical sequential
   /// per-row accumulation; Simd runs the striped-lane gather kernel (AVX2
   /// when available, portable stripes otherwise) and differs from Serial
   /// by FP reassociation only (DESIGN.md Sec. 10).  Every backend is

@@ -70,12 +70,12 @@ struct TimedReachabilityOptions {
   /// a state is flagged in both.  Must be empty or num_states() long.
   BitVector avoid;
   /// Compute backend for the sweep.  Auto resolves via UNICON_BACKEND
-  /// (else Serial).  Serial is the historical scalar engine, bit-identical
-  /// to the pre-backend solver; Simd runs the dense goal-folded kernel
-  /// (AVX2 inner loop when available, portable striped lanes otherwise)
-  /// and differs from Serial by FP reassociation only — see DESIGN.md
-  /// Sec. 10 for the exact contract.  Each backend is bit-identical to
-  /// itself across all thread counts.
+  /// (else Simd).  Simd runs the dense goal-folded kernel (AVX2 inner loop
+  /// when available, portable striped lanes otherwise); Serial is the
+  /// historical scalar engine, bit-identical to the pre-backend solver.
+  /// They differ by FP reassociation only — see DESIGN.md Sec. 10 for the
+  /// exact contract.  Each backend is bit-identical to itself across all
+  /// thread counts.
   Backend backend = Backend::Auto;
   /// Record the optimal decision (transition index) per state for the first
   /// step (i = 1) — e.g. which component the optimal FTWC policy repairs

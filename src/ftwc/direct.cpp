@@ -1,8 +1,7 @@
 #include "ftwc/direct.hpp"
 
-#include <deque>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "support/errors.hpp"
 
@@ -22,16 +21,28 @@ struct SemState {
   RuStatus ru;
 };
 
-std::uint64_t encode(const SemState& s) {
-  std::uint64_t k = s.config.failed_left;
-  k = (k << 16) | s.config.failed_right;
-  k = (k << 1) | (s.config.sw_left_up ? 1 : 0);
-  k = (k << 1) | (s.config.sw_right_up ? 1 : 0);
-  k = (k << 1) | (s.config.backbone_up ? 1 : 0);
-  k = (k << 2) | static_cast<std::uint64_t>(s.ru.kind);
-  k = (k << 3) | static_cast<std::uint64_t>(s.ru.component);
-  return k;
-}
+/// Dense index of a semantic state in the configuration lattice
+/// (n+1) x (n+1) x 2^3 configurations x 15 repair-unit statuses (kind x
+/// component; Idle always carries WsLeft).  Every reachable state has a
+/// slot, and the lattice is about twice the reachable state space.
+class StateIndex {
+ public:
+  explicit StateIndex(unsigned n)
+      : side_(static_cast<std::size_t>(n) + 1), ids_(side_ * side_ * 8 * 15, kNoState) {}
+
+  StateId& operator[](const SemState& s) {
+    std::size_t slot = s.config.failed_left * side_ + s.config.failed_right;
+    slot = slot * 8 + (s.config.sw_left_up ? 4 : 0) + (s.config.sw_right_up ? 2 : 0) +
+           (s.config.backbone_up ? 1 : 0);
+    slot = slot * 15 + static_cast<std::size_t>(s.ru.kind) * kNumComponents +
+           static_cast<std::size_t>(s.ru.component);
+    return ids_[slot];
+  }
+
+ private:
+  std::size_t side_;
+  std::vector<StateId> ids_;
+};
 
 bool class_failed(const Config& c, Component comp, unsigned /*n*/) {
   switch (comp) {
@@ -84,15 +95,15 @@ DirectResult build_direct(const Parameters& params, bool record_names) {
   }
 
   DirectResult result;
-  std::unordered_map<std::uint64_t, StateId> ids;
-  std::deque<SemState> frontier;
+  StateIndex ids(n);
+  // Ids are assigned in discovery order, so the FIFO frontier is the state
+  // list itself and the state at its head has the head's index as its id.
+  std::vector<SemState> frontier;
 
   auto intern_state = [&](const SemState& s) -> StateId {
-    const std::uint64_t key = encode(s);
-    auto it = ids.find(key);
-    if (it != ids.end()) return it->second;
-    const StateId id = builder.add_state(record_names ? name_of(s) : std::string());
-    ids.emplace(key, id);
+    StateId& id = ids[s];
+    if (id != kNoState) return id;
+    id = builder.add_state(record_names ? name_of(s) : std::string());
     result.configs.push_back(s.config);
     result.goal.push_back(!premium(s.config, n));
     frontier.push_back(s);
@@ -102,10 +113,9 @@ DirectResult build_direct(const Parameters& params, bool record_names) {
   const SemState initial{};  // everything up, repair unit idle
   builder.set_initial(intern_state(initial));
 
-  while (!frontier.empty()) {
-    const SemState s = frontier.front();
-    frontier.pop_front();
-    const StateId from = ids.at(encode(s));
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const SemState s = frontier[head];
+    const auto from = static_cast<StateId>(head);
 
     // --- Interactive states (urgency: no Markov transitions) ------------
     if (s.ru.kind == RuStatus::Releasing) {
@@ -168,12 +178,10 @@ DirectResult build_direct(const Parameters& params, bool record_names) {
     }
   }
 
-  Imc closed = builder.build();
-  const Imc uniform = closed.uniformize(0.0, UniformityView::Closed);
-  const auto rate = uniform.uniform_rate(UniformityView::Closed, 1e-9);
+  result.uimc = builder.build().uniformize(0.0, UniformityView::Closed);
+  const auto rate = result.uimc.uniform_rate(UniformityView::Closed, 1e-9);
   if (!rate) throw UniformityError("ftwc: uniformization failed unexpectedly");
   result.uniform_rate = *rate;
-  result.uimc = uniform;
   return result;
 }
 

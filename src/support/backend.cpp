@@ -33,7 +33,7 @@ Backend parse_backend(const std::string& name) {
                    "' (valid: auto, serial, simd, simd-portable)");
 }
 
-Backend resolve_backend(Backend requested) {
+Backend resolve_backend(Backend requested, Backend fallback) {
   if (requested != Backend::Auto) return requested;
   const char* env = std::getenv("UNICON_BACKEND");
   if (env != nullptr && *env != '\0') {
@@ -41,10 +41,7 @@ Backend resolve_backend(Backend requested) {
     // UNICON_BACKEND=auto means "no override", not infinite recursion.
     if (from_env != Backend::Auto) return from_env;
   }
-  // Serial stays the default: it is bit-identical to the pre-backend
-  // solver, so existing results (and the tier-1 expectations pinned on
-  // them) are unaffected unless a backend is asked for explicitly.
-  return Backend::Serial;
+  return fallback;
 }
 
 bool cpu_supports_avx2() {

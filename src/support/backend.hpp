@@ -6,11 +6,14 @@
 // defines the backend vocabulary shared by the CTMDP and CTMC solvers:
 //
 //  - Backend: which engine runs the sweep.  `Serial` is the historical
-//    scalar path, kept bit-identical to the pre-backend code and used by
-//    default.  `Simd` is the dense-kernel engine with an AVX2 inner loop
-//    (portable striped-scalar fallback when AVX2 is unavailable at build or
-//    run time).  `SimdPortable` forces that fallback — it exists so the
-//    tests can prove the AVX2 and portable kernels are bit-identical.
+//    scalar path, kept bit-identical to the pre-backend code; it is the
+//    default of the CTMC solvers.  `Simd` is the dense-kernel engine with
+//    an AVX2 inner loop (portable striped-scalar fallback when AVX2 is
+//    unavailable at build or run time); it is the default of Algorithm 1,
+//    where the kernel folds the goal states into one scalar per transition
+//    and sweeps only the non-goal rows (DESIGN.md Sec. 10.4).
+//    `SimdPortable` forces that fallback — it exists so the tests can prove
+//    the AVX2 and portable kernels are bit-identical.
 //  - KernelOps: the block-level function-pointer table a backend supplies.
 //    Granularity is a row range, not a row — the per-row virtual-call cost
 //    of a finer interface would eat the SIMD win.
@@ -34,7 +37,7 @@
 namespace unicon {
 
 enum class Backend : std::uint8_t {
-  Auto,          ///< resolve via UNICON_BACKEND, else Serial
+  Auto,          ///< resolve via UNICON_BACKEND, else the family's default
   Serial,        ///< historical scalar sweep (bit-identical to the seed)
   Simd,          ///< dense kernel; AVX2 when available, else portable stripes
   SimdPortable,  ///< dense kernel, striped scalar lanes (testing / no-AVX2)
@@ -49,8 +52,12 @@ Backend parse_backend(const std::string& name);
 
 /// Resolves Auto: the UNICON_BACKEND environment variable when set (parsed
 /// like --backend; an invalid value throws, deliberately loud for CI
-/// overrides), Serial otherwise.  Non-Auto values pass through unchanged.
-Backend resolve_backend(Backend requested);
+/// overrides; "auto" means no override), @p fallback otherwise.  Non-Auto
+/// values pass through unchanged.  The fallback is the solver family's
+/// measured default: Simd for Algorithm 1 (the dense goal-folded kernel),
+/// Serial for the CTMC solvers, which have no goal folding and whose Simd
+/// gather measured no faster (DESIGN.md Sec. 10.4).
+Backend resolve_backend(Backend requested, Backend fallback = Backend::Simd);
 
 /// True when the running CPU supports AVX2 (independent of whether the
 /// AVX2 translation unit was compiled in).

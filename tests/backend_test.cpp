@@ -14,7 +14,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "ctmc/transient.hpp"
@@ -22,9 +25,11 @@
 #include "support/backend.hpp"
 #include "support/bit_vector.hpp"
 #include "support/errors.hpp"
+#include "support/json.hpp"
 #include "support/numerics.hpp"
 #include "support/rng.hpp"
 #include "support/run_guard.hpp"
+#include "support/telemetry.hpp"
 #include "testing/generate.hpp"
 #include "test_util.hpp"
 
@@ -380,6 +385,105 @@ TEST(BitConsistency, AvxKernelReportsAvailability) {
   EXPECT_THROW(kernel_ops(Backend::Serial), ModelError);
   EXPECT_NE(kernel_ops(Backend::SimdPortable).relax_rows, nullptr);
   EXPECT_NE(kernel_ops(Backend::Simd).gather_rows, nullptr);
+}
+
+// ------------------------------------------------- backend resolution
+
+/// Pins UNICON_BACKEND (nullptr = unset) for the scope and restores the
+/// caller's value, so the test means the same in CI legs that export it.
+class ScopedBackendEnv {
+ public:
+  explicit ScopedBackendEnv(const char* value) {
+    if (const char* old = std::getenv("UNICON_BACKEND")) saved_ = old;
+    set(value);
+  }
+  ~ScopedBackendEnv() { set(saved_ ? saved_->c_str() : nullptr); }
+  ScopedBackendEnv(const ScopedBackendEnv&) = delete;
+  ScopedBackendEnv& operator=(const ScopedBackendEnv&) = delete;
+
+  static void set(const char* value) {
+    if (value != nullptr) {
+      ::setenv("UNICON_BACKEND", value, 1);
+    } else {
+      ::unsetenv("UNICON_BACKEND");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+TEST(BackendResolve, AutoPerFamily) {
+  ScopedBackendEnv env(nullptr);
+  constexpr Backend kCtmdp = Backend::Simd;   // resolve_backend's default fallback
+  constexpr Backend kCtmc = Backend::Serial;  // what the CTMC solvers pass
+
+  // Unset, empty and "auto" all mean "no override": each family gets its
+  // own default.
+  for (const char* value : {static_cast<const char*>(nullptr), "", "auto"}) {
+    ScopedBackendEnv::set(value);
+    const std::string what = value == nullptr ? "unset" : std::string("'") + value + "'";
+    EXPECT_EQ(resolve_backend(Backend::Auto), kCtmdp) << what;
+    EXPECT_EQ(resolve_backend(Backend::Auto, Backend::Serial), kCtmc) << what;
+  }
+
+  // The environment variable wins for both families.
+  for (const Backend forced : {Backend::Serial, Backend::Simd, Backend::SimdPortable}) {
+    ScopedBackendEnv::set(backend_name(forced));
+    EXPECT_EQ(resolve_backend(Backend::Auto), forced) << backend_name(forced);
+    EXPECT_EQ(resolve_backend(Backend::Auto, Backend::Serial), forced) << backend_name(forced);
+  }
+
+  // Explicit values pass through, whatever the environment says.
+  ScopedBackendEnv::set("simd-portable");
+  for (const Backend explicit_backend : {Backend::Serial, Backend::Simd}) {
+    EXPECT_EQ(resolve_backend(explicit_backend), explicit_backend);
+    EXPECT_EQ(resolve_backend(explicit_backend, Backend::Serial), explicit_backend);
+  }
+  ScopedBackendEnv::set("bogus");
+  EXPECT_THROW(resolve_backend(Backend::Auto), ModelError);
+  EXPECT_EQ(resolve_backend(Backend::Serial), Backend::Serial);
+
+  // The solvers use those defaults: with no override, a CTMDP solve at
+  // Auto runs the dense kernel (its span carries dense_rows) and matches
+  // an explicit Simd solve bitwise; a CTMC solve at Auto matches an
+  // explicit Serial solve bitwise.  At least one size must tell the two
+  // engines apart in each family, or the bit checks would prove nothing.
+  ScopedBackendEnv::set(nullptr);
+  bool ctmdp_discriminates = false, ctmc_discriminates = false;
+  for (std::size_t n : {13u, 33u, 67u}) {
+    const CtmdpCase c = make_ctmdp_case(6000 + n, n);
+    Telemetry telemetry;
+    TimedReachabilityOptions options;
+    options.threads = 1;
+    options.telemetry = &telemetry;
+    const auto by_default = timed_reachability(c.model, c.goal, 1.25, options);
+    const Json json = Json::parse(telemetry.to_json());
+    const JsonArray& spans = json.find("spans")->as_array();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_NE(spans.at(0).find("metrics")->find("dense_rows"), nullptr) << "n=" << n;
+    options.telemetry = nullptr;
+    options.backend = kCtmdp;
+    EXPECT_EQ(by_default.values, timed_reachability(c.model, c.goal, 1.25, options).values);
+    options.backend = Backend::Serial;
+    const auto serial = timed_reachability(c.model, c.goal, 1.25, options);
+    ctmdp_discriminates = ctmdp_discriminates || by_default.values != serial.values;
+
+    Rng rng(7000 + n);
+    const Ctmc chain = testing::random_ctmc(rng, {.num_states = n});
+    const BitVector goal = testing::random_goal(rng, chain.num_states());
+    TransientOptions ctmc_options;
+    ctmc_options.threads = 1;
+    const auto ctmc_default = timed_reachability(chain, goal, 0.8, ctmc_options);
+    ctmc_options.backend = kCtmc;
+    EXPECT_EQ(ctmc_default.probabilities,
+              timed_reachability(chain, goal, 0.8, ctmc_options).probabilities);
+    ctmc_options.backend = Backend::Simd;
+    const auto simd = timed_reachability(chain, goal, 0.8, ctmc_options);
+    ctmc_discriminates = ctmc_discriminates || ctmc_default.probabilities != simd.probabilities;
+  }
+  EXPECT_TRUE(ctmdp_discriminates);
+  EXPECT_TRUE(ctmc_discriminates);
 }
 
 // ------------------------------------- convergence-locking consistency

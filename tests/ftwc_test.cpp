@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <iterator>
+
 #include "core/analysis.hpp"
 #include "ctmc/transient.hpp"
 #include "ftwc/components.hpp"
@@ -158,6 +162,68 @@ TEST(Direct, RecordNamesProducesParsableTuples) {
   params.n = 1;
   const DirectResult r = build_direct(params, /*record_names=*/true);
   EXPECT_EQ(r.uimc.state_name(r.uimc.initial()), "(0,0,o,o,o,idle)");
+}
+
+/// FNV-1a over every field build_direct returns: both relations of the
+/// uIMC (rates as bits), its initial state and action names, the goal mask,
+/// the configurations and the uniform rate.
+std::uint64_t direct_digest(const DirectResult& r) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  auto u64 = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (v >> (8 * i)) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+  };
+  const Imc& m = r.uimc;
+  u64(m.num_states());
+  u64(m.initial());
+  u64(m.actions().size());
+  for (Action a = 0; a < m.actions().size(); ++a) {
+    for (char c : m.actions().name(a)) u64(static_cast<unsigned char>(c));
+    u64(0xff);
+  }
+  u64(m.num_interactive_transitions());
+  for (const LtsTransition& t : m.interactive_transitions()) {
+    u64(t.from);
+    u64(t.action);
+    u64(t.to);
+  }
+  u64(m.num_markov_transitions());
+  for (const MarkovTransition& t : m.markov_transitions()) {
+    u64(t.from);
+    u64(std::bit_cast<std::uint64_t>(t.rate));
+    u64(t.to);
+  }
+  u64(r.goal.size());
+  for (std::size_t s = 0; s < r.goal.size(); ++s) u64(r.goal[s] ? 1 : 0);
+  u64(r.configs.size());
+  for (const Config& c : r.configs) {
+    u64(c.failed_left);
+    u64(c.failed_right);
+    u64((c.sw_left_up ? 4u : 0u) | (c.sw_right_up ? 2u : 0u) | (c.backbone_up ? 1u : 0u));
+  }
+  u64(std::bit_cast<std::uint64_t>(r.uniform_rate));
+  return hash;
+}
+
+TEST(FtwcDirect, UimcPinned) {
+  // Digests of the hash-map BFS with a copy-append-sort uniformization;
+  // the lattice-indexed build reproduces them bit for bit.
+  const struct {
+    unsigned n;
+    std::uint64_t digest;
+  } pins[] = {
+      {1, 0x1bf59c30ffe8e9a0ull}, {2, 0xad368a5ba3bbc681ull},  {4, 0x2114f16c80262ce7ull},
+      {8, 0x7426e59b244e6a94ull}, {16, 0x9c711dcfc9b58af5ull}, {32, 0x617fe240b7e258c6ull},
+  };
+  for (const auto& pin : pins) {
+    Parameters params;
+    params.n = pin.n;
+    const DirectResult r = build_direct(params);
+    EXPECT_EQ(direct_digest(r), pin.digest)
+        << "N=" << pin.n << ": digest 0x" << std::hex << direct_digest(r);
+  }
 }
 
 // ------------------------------------- Table 1 structural reproduction

@@ -25,8 +25,9 @@
 //
 // Common execution-control flags (every mode):
 //   --backend NAME     compute backend for the solver sweeps: auto (default;
-//                      honours UNICON_BACKEND, else serial), serial, simd,
-//                      or simd-portable — see DESIGN.md Sec. 10
+//                      honours UNICON_BACKEND, else simd for CTMDP solves
+//                      and serial for CTMC solves), serial, simd, or
+//                      simd-portable — see DESIGN.md Sec. 10
 //   --truncation NAME  truncation-bound provider: auto (default; Lyapunov
 //                      certificate on long horizons, Fox–Glynn otherwise),
 //                      fox-glynn, or lyapunov — see DESIGN.md Sec. 14

@@ -18,7 +18,8 @@
 //   --self-check   verify the driver catches every mutation on a small
 //                  corpus, then run the clean corpus
 //   --backend B    force the solver backend (serial, simd, simd-portable;
-//                  default auto = UNICON_BACKEND env or serial) in every
+//                  default auto = UNICON_BACKEND env, else simd for CTMDP
+//                  and serial for CTMC solves) in every
 //                  differential solve — run the self-check once per backend
 //                  to differentially certify each kernel implementation
 //   --out DIR      write shrunk counterexample models (.imc/.ctmdp/.tra +
